@@ -5,7 +5,8 @@
 //! the ANN-trained workload model from the wire-carried `SweepContext`
 //! (heartbeating throughout, so training never reads as death), then
 //! executes `AssignCell`s until `Shutdown` — forwarding batched
-//! `TraceEvent`s ahead of each `CellResult`.
+//! `TraceEvent`s ahead of each `CellResult` when the daemon records them
+//! (`--trace` or live metrics; the handshake says which).
 //!
 //! Flags:
 //!
@@ -13,7 +14,7 @@
 //! * `--name NAME` — worker name reported in the handshake (default
 //!   `worker-<pid>`).
 //! * `--trace PATH` — also write this worker's span-stamped events to a
-//!   local JSONL file (they are forwarded to the daemon regardless). The
+//!   local JSONL file (whether or not the daemon asked for them). The
 //!   file survives the worker being SIGKILLed mid-cell, which is what
 //!   lets `trace_tool merge` reconstruct a timeline including events the
 //!   daemon never received.

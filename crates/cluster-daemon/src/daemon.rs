@@ -35,8 +35,9 @@ pub struct DaemonConfig {
     /// live workers and cells still unresolved. `None` waits forever.
     pub no_worker_timeout: Option<Duration>,
     /// Live-queryable metrics: when set, the control loop keeps worker and
-    /// cell counters current in it, and any connection whose first frame is
-    /// [`Message::MetricsRequest`] is served a
+    /// cell counters current in it (workers forward their telemetry so
+    /// `trace_events_ingested` counts it), and any connection whose first
+    /// frame is [`Message::MetricsRequest`] is served a
     /// [`MetricsRegistry::render_text`] snapshot instead of a handshake.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -102,12 +103,13 @@ fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
 
 /// Turns raw wires into handshaked connections feeding `events`: one
 /// handler thread per connection, exiting when its connection closes.
-/// Connections opening with [`Message::MetricsRequest`] are served a
-/// snapshot from `metrics` and closed without ever reaching the control
-/// loop.
+/// Every worker's `HelloAck` carries `traces`. Connections opening with
+/// [`Message::MetricsRequest`] are served a snapshot from `metrics` and
+/// closed without ever reaching the control loop.
 fn spawn_acceptor(
     conns: Receiver<Box<dyn Wire>>,
     context: SweepContext,
+    traces: bool,
     events: Sender<Event>,
     metrics: Option<Arc<MetricsRegistry>>,
 ) {
@@ -132,7 +134,7 @@ fn spawn_acceptor(
                     }
                     None => None,
                 };
-                let name = match server_accept(&conn, &context, render_ref) {
+                let name = match server_accept(&conn, &context, traces, render_ref) {
                     Ok(Accepted::Worker(name)) => name,
                     Ok(Accepted::MetricsServed) | Err(_) => {
                         conn.shutdown();
@@ -238,6 +240,11 @@ fn drop_worker(
 /// retried, sweep keeps running, lowest-index failure reported at the end.
 /// A worker death or stall is indeterminate — the cell is requeued until
 /// [`DaemonConfig::max_attempts`].
+///
+/// Workers forward their telemetry only when something here reads it:
+/// `telemetry` is set, or [`DaemonConfig::metrics`] counts ingested
+/// events. Otherwise the handshake tells them not to, and they send no
+/// `TraceBatch` frames at all.
 pub fn serve(
     spec: &SweepSpec,
     config: &DaemonConfig,
@@ -251,7 +258,8 @@ pub fn serve(
     let started = Instant::now();
 
     let (event_tx, event_rx) = crossbeam::channel::unbounded();
-    spawn_acceptor(conns, config.context.clone(), event_tx, config.metrics.clone());
+    let traces = telemetry.is_some() || config.metrics.is_some();
+    spawn_acceptor(conns, config.context.clone(), traces, event_tx, config.metrics.clone());
     let metrics = config.metrics.as_deref();
     if let Some(reg) = metrics {
         reg.set_gauge("cells_total", total as f64);
@@ -365,8 +373,17 @@ pub fn serve(
                                 if let Some(reg) = metrics {
                                     reg.incr("cells_completed");
                                 }
-                                let outcome =
-                                    SweepCellOutcome { cell: all_cells[index].clone(), report };
+                                // Keep a copy made on this thread, not the
+                                // decoded report: the handler thread built
+                                // it in its own malloc arena between parse
+                                // nodes it then freed, and reports kept
+                                // across back-to-back sweeps pinned those
+                                // fragments (peak RSS crept from ~16 to
+                                // ~24 MB over 40 sweeps of 600 cells).
+                                let outcome = SweepCellOutcome {
+                                    cell: all_cells[index].clone(),
+                                    report: report.clone(),
+                                };
                                 if let Some(sink) = &telemetry {
                                     sink.record(&sweep_cell_event(&outcome));
                                 }

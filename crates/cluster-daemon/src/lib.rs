@@ -11,9 +11,10 @@
 //!   production, in-memory duplexes in tests), dispatches one cell per idle
 //!   worker, tracks liveness by heartbeat, **reassigns** cells from dead or
 //!   stalled workers (bounded by a per-cell attempt cap), ingests batched
-//!   worker telemetry, and returns a [`DistRun`] whose outcomes are sorted
-//!   by cell index — so everything rendered from it is byte-identical to
-//!   `run_sweep` at any worker count or death schedule.
+//!   worker telemetry when it records any (a trace sink or live metrics),
+//!   and returns a [`DistRun`] whose outcomes are sorted by cell index —
+//!   so everything rendered from it is byte-identical to `run_sweep` at
+//!   any worker count or death schedule.
 //! * [`run_worker`] — the worker runtime. It handshakes, starts
 //!   heartbeating *before* model training (training takes seconds and must
 //!   not read as death), rebuilds the daemon's exact
@@ -21,7 +22,8 @@
 //!   [`cluster_rpc::SweepContext`] (the model is deterministic in config +
 //!   benchmark list), then executes assigned cells through
 //!   [`cluster_sched::execute_cell`] — the *same* code path as in-process
-//!   sweeps — forwarding telemetry as batched `TraceBatch` frames.
+//!   sweeps — forwarding telemetry as batched `TraceBatch` frames only
+//!   when the handshake says the daemon reads it.
 //! * [`run_distributed`] — the local process seam: binds a temporary Unix
 //!   socket, spawns N `cluster_worker` processes (CPU-pinned via `taskset`
 //!   when available, SIMPLEBENCH-style), serves the sweep, and reaps the

@@ -10,8 +10,12 @@
 //! worker's name, a dense sequence, and the cell being executed, then a
 //! rebatching forward sink ships them to the daemon as `TraceBatch`
 //! frames (one frame per batch — never one frame per event).
+//!
+//! The pipeline is demand-driven: the daemon says at handshake whether it
+//! reads worker telemetry (`HelloAck::traces`), and a worker that was not
+//! asked and has no local sink runs its cells untraced, so no event is
+//! ever built, stamped or sent.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +28,7 @@ use cluster_rpc::{
 use cluster_sched::{
     execute_cell, mix_by_name, workload_shape_by_name, FleetModel, WorkloadSpec, MACHINE_MIX_NAMES,
 };
+use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use crate::error::WorkerError;
@@ -107,10 +112,10 @@ fn run_one_cell(
     workload: fn(usize) -> WorkloadSpec,
     max_node_w: f64,
     cell: &cluster_sched::SweepCell,
-    telemetry: &SharedSink,
+    telemetry: Option<&SharedSink>,
 ) -> CellOutcome {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_cell(fleet, workload, max_node_w, cell, Some(telemetry))
+        execute_cell(fleet, workload, max_node_w, cell, telemetry)
     }));
     match result {
         Ok(Ok(report)) => CellOutcome::Completed(report),
@@ -154,7 +159,7 @@ pub fn run_worker(wire: Box<dyn Wire>, name: &str) -> Result<(), WorkerError> {
 
 /// [`run_worker`] with an optional local sink (e.g. a worker-side
 /// `--trace` JSONL file) that receives the same span-stamped events the
-/// daemon does.
+/// daemon does — whether or not the daemon asked for them.
 pub fn run_worker_traced(
     wire: Box<dyn Wire>,
     name: &str,
@@ -174,7 +179,8 @@ pub fn run_worker_with(
 }
 
 /// The fully-general worker entry point: injectable fleet source *and*
-/// optional local telemetry sink beside the daemon forwarder.
+/// optional local telemetry sink beside the daemon forwarder (which exists
+/// only when the daemon asked for traces at handshake).
 pub fn run_worker_full(
     wire: Box<dyn Wire>,
     name: &str,
@@ -182,62 +188,78 @@ pub fn run_worker_full(
     fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
 ) -> Result<(), WorkerError> {
     let conn = Arc::new(Connection::new(wire).map_err(RpcError::from)?);
-    let ctx = client_handshake(&conn, name)?;
+    let (ctx, traces) = client_handshake(&conn, name)?;
 
     // Heartbeats start before the (seconds-long) model build so training
-    // never reads as death at the daemon's liveness scan.
-    let stop = Arc::new(AtomicBool::new(false));
+    // never reads as death at the daemon's liveness scan. Dropping `stop`
+    // wakes the thread mid-period, so exit never waits out a heartbeat.
+    let (stop, stopped) = crossbeam::channel::unbounded::<()>();
     let heartbeat = {
         let conn = Arc::clone(&conn);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis(ctx.heartbeat_ms.max(1));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if conn.send(&Message::Heartbeat).is_err() {
+            while conn.send(&Message::Heartbeat).is_ok() {
+                if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
                     break;
                 }
-                std::thread::sleep(period);
             }
         })
     };
 
-    let result = worker_loop(&conn, name, local, &ctx, fleet_builder);
+    let span = span_pipeline(&conn, traces, local, ctx.run_id, name);
+    let result = worker_loop(&conn, span, &ctx, fleet_builder);
 
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     conn.shutdown();
     let _ = heartbeat.join();
     result
 }
 
-fn worker_loop(
+/// The worker's telemetry pipeline, built only for a reader: a
+/// [`SpanSink`] (stamping run id, worker name, dense seq and cell) in
+/// front of the daemon forwarder when the daemon asked for traces, and of
+/// the local sink when there is one. `None` when neither reads.
+fn span_pipeline(
     conn: &Arc<Connection>,
-    name: &str,
+    traces: bool,
     local: Option<SharedSink>,
+    run_id: u64,
+    name: &str,
+) -> Option<Arc<SpanSink>> {
+    let forward = traces.then(|| Arc::new(TraceForwardSink::new(Arc::clone(conn))) as SharedSink);
+    let downstream: SharedSink = match (forward, local) {
+        (Some(forward), Some(local)) => Arc::new(FanoutSink::new(vec![forward, local])),
+        (Some(only), None) | (None, Some(only)) => only,
+        (None, None) => return None,
+    };
+    Some(Arc::new(SpanSink::new(downstream, run_id, name)))
+}
+
+fn worker_loop(
+    conn: &Connection,
+    span: Option<Arc<SpanSink>>,
     ctx: &SweepContext,
     fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
 ) -> Result<(), WorkerError> {
     let workload = workload_shape_by_name(&ctx.workload)
         .ok_or_else(|| WorkerError::UnknownShape { name: ctx.workload.clone() })?;
     let fleet = fleet_builder(ctx).map_err(|reason| WorkerError::Model { reason })?;
-    // Pipeline: SpanSink (stamps run_id/worker/seq/cell) → forwarder to
-    // the daemon, plus the optional local sink, both receiving the same
-    // stamped events.
-    let forward: SharedSink = Arc::new(TraceForwardSink::new(Arc::clone(conn)));
-    let downstream: SharedSink = match local {
-        Some(local_sink) => Arc::new(FanoutSink::new(vec![forward, local_sink])),
-        None => forward,
-    };
-    let span = Arc::new(SpanSink::new(downstream, ctx.run_id, name));
-    let telemetry: SharedSink = Arc::clone(&span) as SharedSink;
+    let telemetry = span.clone().map(|span| span as SharedSink);
     loop {
         match conn.recv()? {
             Message::AssignCell(cell) => {
-                span.set_cell(Some(cell.index as u64));
-                let outcome = run_one_cell(&fleet, workload, ctx.max_node_w, &cell, &telemetry);
-                span.set_cell(None);
-                // Trace frames precede the result: once the daemon sees
-                // the CellResult, the cell's telemetry is fully delivered.
-                telemetry.flush();
+                if let Some(span) = &span {
+                    span.set_cell(Some(cell.index as u64));
+                }
+                let outcome =
+                    run_one_cell(&fleet, workload, ctx.max_node_w, &cell, telemetry.as_ref());
+                if let Some(span) = &span {
+                    span.set_cell(None);
+                    // Trace frames precede the result: once the daemon
+                    // sees the CellResult, the cell's telemetry is fully
+                    // delivered.
+                    span.flush();
+                }
                 conn.send(&Message::CellResult { index: cell.index, outcome })?;
             }
             Message::Shutdown => return Ok(()),
@@ -255,7 +277,179 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_rpc::duplex;
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    use actor_core::config::ActorConfig;
+    use actor_core::telemetry::MemorySink;
+    use cluster_rpc::{duplex, server_handshake};
+    use cluster_sched::{quad_test_workload, SweepCell, SweepSpec, WorkloadModel};
+    use npb_workloads::BenchmarkId;
+    use xeon_sim::Machine;
+
+    const IDS: [BenchmarkId; 4] =
+        [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
+
+    /// One fleet, trained once, for every hand-driven worker.
+    fn fleet() -> Arc<FleetModel> {
+        static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
+        Arc::clone(FLEET.get_or_init(|| {
+            let config = context(25).config;
+            let model = WorkloadModel::build(&Machine::xeon_qx6600(), &config, &IDS).unwrap();
+            Arc::new(FleetModel::single(model))
+        }))
+    }
+
+    fn context(heartbeat_ms: u64) -> SweepContext {
+        SweepContext {
+            config: ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() },
+            benchmarks: IDS.to_vec(),
+            workload: "quad-test".into(),
+            machines: vec!["uniform".into()],
+            max_node_w: 160.0,
+            heartbeat_ms,
+            run_id: 31,
+        }
+    }
+
+    fn cells() -> Vec<SweepCell> {
+        SweepSpec {
+            nodes: vec![2],
+            budgets: vec![("tight".into(), 0.45)],
+            policies: vec!["fcfs".into(), "power-aware".into()],
+            seeds: vec![1],
+            max_node_w: 160.0,
+            workload: quad_test_workload,
+            ..SweepSpec::default()
+        }
+        .expand()
+    }
+
+    /// Plays the daemon by hand: handshakes a worker with `traces`, assigns
+    /// [`cells`] one at a time, and returns, per cell, the frames that came
+    /// before its `CellResult` (heartbeats dropped) and the result itself.
+    fn drive(traces: bool, local: Option<SharedSink>) -> Vec<(Vec<Message>, Message)> {
+        let fleet = fleet();
+        let (daemon_side, worker_side) = duplex();
+        let worker = std::thread::spawn(move || {
+            run_worker_full(Box::new(worker_side), "w-hand", local, |_| Ok(fleet))
+        });
+        let daemon = Connection::new(Box::new(daemon_side)).unwrap();
+        assert_eq!(server_handshake(&daemon, &context(25), traces).unwrap(), "w-hand");
+        let mut answers = Vec::new();
+        for cell in cells() {
+            daemon.send(&Message::AssignCell(cell)).unwrap();
+            let mut before = Vec::new();
+            loop {
+                match daemon.recv().unwrap() {
+                    Message::Heartbeat => {}
+                    result @ Message::CellResult { .. } => {
+                        answers.push((before, result));
+                        break;
+                    }
+                    other => before.push(other),
+                }
+            }
+        }
+        daemon.send(&Message::Shutdown).unwrap();
+        worker.join().unwrap().unwrap();
+        answers
+    }
+
+    fn assert_answers(cell: &SweepCell, result: &Message) {
+        match result {
+            Message::CellResult { index, outcome: CellOutcome::Completed(_) } => {
+                assert_eq!(*index, cell.index);
+            }
+            other => panic!("cell {}: expected a completed CellResult, got {other:?}", cell.index),
+        }
+    }
+
+    fn trace_batches(frames: Vec<Message>) -> Vec<SpannedEvent> {
+        frames
+            .into_iter()
+            .flat_map(|frame| match frame {
+                Message::TraceBatch(batch) => batch,
+                other => panic!("unexpected {} frame before a CellResult", other.kind()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_worker_not_asked_for_traces_answers_each_cell_with_its_result_alone() {
+        let answers = drive(false, None);
+        assert_eq!(answers.len(), cells().len());
+        for (cell, (before, result)) in cells().iter().zip(&answers) {
+            let kinds: Vec<_> = before.iter().map(Message::kind).collect();
+            assert!(kinds.is_empty(), "cell {}: frames before its result: {kinds:?}", cell.index);
+            assert_answers(cell, result);
+        }
+    }
+
+    #[test]
+    fn a_worker_asked_for_traces_sends_them_before_each_result() {
+        let answers = drive(true, None);
+        assert_eq!(answers.len(), cells().len());
+        for (cell, (before, result)) in cells().iter().zip(answers) {
+            assert_answers(cell, &result);
+            let events = trace_batches(before);
+            assert!(!events.is_empty(), "cell {}: no TraceBatch before its result", cell.index);
+            for e in &events {
+                let span = e.span.as_ref().expect("forwarded events are stamped");
+                assert_eq!((span.run_id, span.source.as_str()), (31, "w-hand"));
+                assert_eq!(span.cell, Some(cell.index as u64));
+            }
+        }
+    }
+
+    /// A local `--trace` sink does not depend on the daemon's interest: it
+    /// records every event a forwarding worker sends, stamped the same way
+    /// with a dense `seq`, while the wire carries results only.
+    #[test]
+    fn a_local_sink_records_every_event_when_the_daemon_asks_for_none() {
+        let forwarded: Vec<SpannedEvent> =
+            drive(true, None).into_iter().flat_map(|(before, _)| trace_batches(before)).collect();
+
+        let memory = Arc::new(MemorySink::new());
+        let answers = drive(false, Some(Arc::clone(&memory) as SharedSink));
+        for (cell, (before, result)) in cells().iter().zip(&answers) {
+            assert!(before.is_empty(), "cell {}: the wire carried trace frames", cell.index);
+            assert_answers(cell, result);
+        }
+
+        let mut local = memory.spanned_events();
+        local.sort_by_key(|e| e.span.as_ref().expect("local events are stamped").seq);
+        assert!(!local.is_empty());
+        for (i, e) in local.iter().enumerate() {
+            assert_eq!(e.span.as_ref().unwrap().seq, i as u64, "gap in the local sequence");
+        }
+        // Decision latencies are sampled clock reads, so compare stamps and
+        // kinds, not payloads.
+        let shape = |events: &[SpannedEvent]| -> Vec<_> {
+            events.iter().map(|e| (e.span.clone(), e.event.kind())).collect()
+        };
+        assert_eq!(shape(&local), shape(&forwarded));
+    }
+
+    /// The heartbeat thread's wait is woken by the stop signal: a worker
+    /// whose next heartbeat is 10 s away still exits promptly on Shutdown.
+    #[test]
+    fn shutdown_does_not_wait_out_the_heartbeat_period() {
+        let fleet = fleet();
+        let (daemon_side, worker_side) = duplex();
+        let worker = std::thread::spawn(move || {
+            run_worker_with(Box::new(worker_side), "w-slow", |_| Ok(fleet))
+        });
+        let daemon = Connection::new(Box::new(daemon_side)).unwrap();
+        server_handshake(&daemon, &context(10_000), false).unwrap();
+        // The first heartbeat goes out at once; the next is 10 s away.
+        assert_eq!(daemon.recv().unwrap(), Message::Heartbeat);
+        daemon.send(&Message::Shutdown).unwrap();
+        let asked = Instant::now();
+        worker.join().unwrap().unwrap();
+        let took = asked.elapsed();
+        assert!(took < Duration::from_secs(1), "run_worker took {took:?} to return");
+    }
 
     fn progress(done: usize) -> TraceEvent {
         TraceEvent::Progress { name: "t".into(), done, expected: 100 }

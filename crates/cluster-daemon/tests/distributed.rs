@@ -1,21 +1,26 @@
 //! Daemon + worker integration over in-memory duplexes: completion parity
 //! with `run_sweep`, reassignment on worker death and stall, terminal
-//! simulation failures, and the no-worker timeout.
+//! simulation failures, the no-worker timeout, and worker telemetry that
+//! crosses the wire only when the daemon records it.
 //!
 //! Every duplex worker gets the one prebuilt model via `run_worker_with` —
 //! the process-level path (which re-trains per worker) is covered by the
 //! bench crate's tests, where the worker binary exists.
 
+use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use actor_core::config::ActorConfig;
 use actor_core::telemetry::{MemorySink, MetricsRegistry, SharedSink, SpanSink};
-use cluster_daemon::{run_worker_with, serve, DaemonConfig, DaemonError};
+use cluster_daemon::{run_worker_with, serve, DaemonConfig, DaemonError, DistRun};
 use cluster_rpc::{
     client_handshake, duplex, request_metrics, CellOutcome, Connection, Message, SweepContext, Wire,
 };
-use cluster_sched::{quad_test_workload, run_sweep, FleetModel, SweepSpec, WorkloadModel};
+use cluster_sched::{
+    quad_test_workload, run_sweep, FleetModel, SweepSpec, WorkloadModel, POLICY_NAMES,
+};
 use crossbeam::channel::{unbounded, Sender};
 use npb_workloads::BenchmarkId;
 use xeon_sim::Machine;
@@ -428,4 +433,93 @@ fn a_workerless_daemon_gives_up_after_the_configured_wait() {
         }
         other => panic!("expected DaemonError::Disconnected, got {other}"),
     }
+}
+
+/// A daemon-side wire that counts every byte the daemon reads through it
+/// (clones share the count).
+struct CountingWire {
+    inner: Box<dyn Wire>,
+    read: Arc<AtomicU64>,
+}
+
+impl Read for CountingWire {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+impl Write for CountingWire {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Wire for CountingWire {
+    fn try_clone_wire(&self) -> io::Result<Box<dyn Wire>> {
+        let inner = self.inner.try_clone_wire()?;
+        Ok(Box::new(CountingWire { inner, read: Arc::clone(&self.read) }))
+    }
+
+    fn shutdown_wire(&self) -> io::Result<()> {
+        self.inner.shutdown_wire()
+    }
+}
+
+/// Serves `spec` to two duplex workers through counting wires, returning
+/// the run and the bytes the daemon read.
+fn serve_counted(spec: &SweepSpec, telemetry: Option<SharedSink>) -> (DistRun, u64) {
+    let read = Arc::new(AtomicU64::new(0));
+    let (conn_tx, conn_rx) = unbounded();
+    let workers: Vec<_> = ["count-1", "count-2"]
+        .into_iter()
+        .map(|name| {
+            let (daemon_side, worker_side) = duplex();
+            let counted = CountingWire { inner: Box::new(daemon_side), read: Arc::clone(&read) };
+            conn_tx
+                .send(Box::new(counted) as Box<dyn Wire>)
+                .map_err(|_| "conns channel closed")
+                .unwrap();
+            std::thread::spawn(move || {
+                run_worker_with(Box::new(worker_side), name, |_| Ok(fleet()))
+            })
+        })
+        .collect();
+    drop(conn_tx);
+    let dist =
+        serve(spec, &DaemonConfig::new(context()), conn_rx, telemetry, |_, _, _| {}).unwrap();
+    for worker in workers {
+        worker.join().unwrap().unwrap();
+    }
+    (dist, read.load(Ordering::Relaxed))
+}
+
+#[test]
+fn workers_send_telemetry_only_to_a_daemon_that_records_it() {
+    // Every policy, as in `cluster_sweep`'s grid: the trace volume per cell
+    // is policy-dependent (the coordinated policy re-decides at each cap
+    // redistribution), the result volume is not.
+    let spec = SweepSpec { policies: POLICY_NAMES.map(String::from).to_vec(), ..spec() };
+    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    // Train before serving, so neither run's byte count includes the
+    // heartbeats of a first-time model build.
+    fleet();
+
+    let memory = Arc::new(MemorySink::new());
+    let (recorded, recorded_bytes) = serve_counted(&spec, Some(Arc::clone(&memory) as SharedSink));
+    let (quiet, quiet_bytes) = serve_counted(&spec, None);
+
+    assert_eq!(recorded.run.outcomes, serial.outcomes);
+    assert_eq!(quiet.run.outcomes, serial.outcomes);
+    let forwarded = memory.spanned_events().iter().filter(|e| e.span.is_some()).count();
+    assert!(forwarded > 0, "the recording daemon must receive worker spans");
+    assert!(
+        quiet_bytes * 10 < recorded_bytes,
+        "a daemon with no sink read {quiet_bytes} bytes, a recording one {recorded_bytes}"
+    );
 }

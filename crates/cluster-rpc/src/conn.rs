@@ -22,7 +22,10 @@ use crate::wire::{Wire, MAX_FRAME_LEN};
 /// names whose fleet the worker must train), `SweepCell` points carry
 /// `machines`/`faults`/`arrivals` coordinates, and `ClusterReport` gained
 /// `machines`/`node_failures`/`killed_jobs`.
-pub const PROTOCOL_VERSION: u32 = 3;
+///
+/// v4: demand-driven telemetry. `HelloAck` gained `traces`, and a worker
+/// told `false` sends no `TraceBatch` frames.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// A message-level connection over any [`Wire`].
 ///
@@ -123,11 +126,14 @@ fn read_full(r: &mut dyn Read, buf: &mut [u8], frame_boundary: bool) -> Result<(
 }
 
 /// Worker side of the handshake: sends `Hello`, expects a version-matching
-/// `HelloAck`, and returns the daemon's [`SweepContext`].
-pub fn client_handshake(conn: &Connection, worker: &str) -> Result<SweepContext, RpcError> {
+/// `HelloAck`, and returns the daemon's [`SweepContext`] and whether the
+/// daemon wants the worker's telemetry (`HelloAck::traces`).
+pub fn client_handshake(conn: &Connection, worker: &str) -> Result<(SweepContext, bool), RpcError> {
     conn.send(&Message::Hello { version: PROTOCOL_VERSION, worker: worker.to_string() })?;
     match conn.recv()? {
-        Message::HelloAck { version, context } if version == PROTOCOL_VERSION => Ok(context),
+        Message::HelloAck { version, context, traces } if version == PROTOCOL_VERSION => {
+            Ok((context, traces))
+        }
         Message::HelloAck { version, .. } => {
             Err(RpcError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version })
         }
@@ -152,8 +158,8 @@ pub enum Accepted {
 
 /// Daemon side of connection acceptance: the first frame decides whether
 /// the peer is a worker (version-matching `Hello` → `HelloAck` carrying
-/// `context`) or a metrics client (`MetricsRequest` → `MetricsSnapshot`
-/// rendered by `metrics`, when one is provided).
+/// `context` and `traces`) or a metrics client (`MetricsRequest` →
+/// `MetricsSnapshot` rendered by `metrics`, when one is provided).
 ///
 /// A mismatched worker version is *told* to the worker via
 /// [`Message::Error`] before this side fails, and a `MetricsRequest` on a
@@ -161,11 +167,16 @@ pub enum Accepted {
 pub fn server_accept(
     conn: &Connection,
     context: &SweepContext,
+    traces: bool,
     metrics: Option<&dyn Fn() -> String>,
 ) -> Result<Accepted, RpcError> {
     match conn.recv()? {
         Message::Hello { version, worker } if version == PROTOCOL_VERSION => {
-            conn.send(&Message::HelloAck { version: PROTOCOL_VERSION, context: context.clone() })?;
+            conn.send(&Message::HelloAck {
+                version: PROTOCOL_VERSION,
+                context: context.clone(),
+                traces,
+            })?;
             Ok(Accepted::Worker(worker))
         }
         Message::Hello { version, .. } => {
@@ -193,9 +204,13 @@ pub fn server_accept(
 
 /// Daemon side of the worker handshake ([`server_accept`] restricted to
 /// workers): expects a version-matching `Hello`, replies with `HelloAck`
-/// carrying `context`, and returns the worker's name.
-pub fn server_handshake(conn: &Connection, context: &SweepContext) -> Result<String, RpcError> {
-    match server_accept(conn, context, None)? {
+/// carrying `context` and `traces`, and returns the worker's name.
+pub fn server_handshake(
+    conn: &Connection,
+    context: &SweepContext,
+    traces: bool,
+) -> Result<String, RpcError> {
+    match server_accept(conn, context, traces, None)? {
         Accepted::Worker(name) => Ok(name),
         Accepted::MetricsServed => unreachable!("server_accept with no metrics cannot serve them"),
     }
@@ -296,16 +311,17 @@ mod tests {
     fn handshake_agrees_on_versions_and_ships_the_context() {
         let (daemon, worker) = pair();
         let ctx = context();
-        let server = std::thread::spawn(move || server_handshake(&daemon, &context()).unwrap());
+        let server =
+            std::thread::spawn(move || server_handshake(&daemon, &context(), true).unwrap());
         let got = client_handshake(&worker, "w0").unwrap();
         assert_eq!(server.join().unwrap(), "w0");
-        assert_eq!(got, ctx);
+        assert_eq!(got, (ctx, true));
     }
 
     #[test]
     fn version_mismatch_is_rejected_on_both_sides() {
         let (daemon, worker) = pair();
-        let server = std::thread::spawn(move || server_handshake(&daemon, &context()));
+        let server = std::thread::spawn(move || server_handshake(&daemon, &context(), false));
         // A worker from the future.
         worker
             .send(&Message::Hello { version: PROTOCOL_VERSION + 1, worker: "w9".into() })
@@ -328,7 +344,7 @@ mod tests {
     fn protocol_violations_name_the_unexpected_message() {
         let (daemon, worker) = pair();
         worker.send(&Message::Heartbeat).unwrap();
-        let err = server_handshake(&daemon, &context()).unwrap_err();
+        let err = server_handshake(&daemon, &context(), false).unwrap_err();
         assert!(err.to_string().contains("Heartbeat"), "{err}");
     }
 
@@ -345,7 +361,12 @@ mod tests {
     fn metrics_request_is_served_when_a_registry_renders() {
         let (daemon, client) = pair();
         let server = std::thread::spawn(move || {
-            server_accept(&daemon, &context(), Some(&|| "decision 3\nworkers_live 2\n".into()))
+            server_accept(
+                &daemon,
+                &context(),
+                true,
+                Some(&|| "decision 3\nworkers_live 2\n".into()),
+            )
         });
         let text = request_metrics(&client).unwrap();
         assert_eq!(server.join().unwrap().unwrap(), Accepted::MetricsServed);
@@ -355,7 +376,7 @@ mod tests {
     #[test]
     fn metrics_request_without_a_registry_is_a_told_protocol_error() {
         let (daemon, client) = pair();
-        let server = std::thread::spawn(move || server_accept(&daemon, &context(), None));
+        let server = std::thread::spawn(move || server_accept(&daemon, &context(), false, None));
         let err = request_metrics(&client).unwrap_err();
         assert!(matches!(err, RpcError::Protocol { .. }), "{err}");
         assert!(matches!(server.join().unwrap().unwrap_err(), RpcError::Protocol { .. }));
@@ -364,11 +385,12 @@ mod tests {
     #[test]
     fn server_accept_still_handshakes_workers_beside_metrics() {
         let (daemon, worker) = pair();
-        let server =
-            std::thread::spawn(move || server_accept(&daemon, &context(), Some(&|| String::new())));
+        let server = std::thread::spawn(move || {
+            server_accept(&daemon, &context(), true, Some(&|| String::new()))
+        });
         let got = client_handshake(&worker, "w3").unwrap();
         assert_eq!(server.join().unwrap().unwrap(), Accepted::Worker("w3".into()));
-        assert_eq!(got, context());
+        assert_eq!(got, (context(), true));
     }
 
     #[test]

@@ -85,6 +85,10 @@ pub enum Message {
         version: u32,
         /// Everything the worker needs to build its model.
         context: SweepContext,
+        /// Whether the daemon reads worker telemetry (it records a trace
+        /// or keeps live metrics). A worker told `false` sends no
+        /// [`Message::TraceBatch`] frames.
+        traces: bool,
     },
     /// Daemon → worker: execute this cell.
     AssignCell(SweepCell),
@@ -97,7 +101,7 @@ pub enum Message {
     },
     /// Worker → daemon: buffered telemetry from cell execution, in record
     /// order, span stamps intact (assembled by the worker's rebatching
-    /// forward sink).
+    /// forward sink). Sent only to a daemon whose `HelloAck` set `traces`.
     TraceBatch(Vec<SpannedEvent>),
     /// Worker → daemon: still alive (sent every
     /// [`SweepContext::heartbeat_ms`], including during model training).

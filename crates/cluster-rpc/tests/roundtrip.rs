@@ -170,6 +170,7 @@ fn message(pick: usize, idx: usize, nodes: usize, f1: f64, f2: f64, seed: u64) -
         1 => Message::HelloAck {
             version: PROTOCOL_VERSION,
             context: context(seed, f1, 1 + seed % 1000),
+            traces: seed.is_multiple_of(2),
         },
         2 => Message::AssignCell(cell(idx, nodes, f2 / 200.0 + 0.1, seed)),
         3 => Message::CellResult {
@@ -284,8 +285,42 @@ fn handshake_round_trips_the_context() {
     let (daemon, worker) = pair();
     let ctx = context(42, 7.5, 250);
     let server_ctx = ctx.clone();
-    let server = std::thread::spawn(move || server_handshake(&daemon, &server_ctx).unwrap());
+    let server = std::thread::spawn(move || server_handshake(&daemon, &server_ctx, true).unwrap());
     let got = client_handshake(&worker, "external-1").unwrap();
     assert_eq!(server.join().unwrap(), "external-1");
-    assert_eq!(got, ctx);
+    assert_eq!(got, (ctx, true));
+}
+
+/// `HelloAck::traces` survives the wire both ways, and the worker learns
+/// exactly the value the daemon chose.
+#[test]
+fn hello_ack_carries_the_traces_flag_either_way() {
+    for traces in [false, true] {
+        let ack =
+            Message::HelloAck { version: PROTOCOL_VERSION, context: context(7, 1.0, 50), traces };
+        let (a, b) = pair();
+        a.send(&ack).unwrap();
+        assert_eq!(b.recv().unwrap(), ack);
+
+        let (daemon, worker) = pair();
+        let server = std::thread::spawn(move || {
+            server_handshake(&daemon, &context(7, 1.0, 50), traces).unwrap()
+        });
+        let (_, told) = client_handshake(&worker, "w-flag").unwrap();
+        assert_eq!(server.join().unwrap(), "w-flag");
+        assert_eq!(told, traces);
+    }
+}
+
+/// A v3 worker (no `traces` flag in its protocol) is refused with a typed
+/// version mismatch, on both sides, rather than misreading the ack.
+#[test]
+fn a_v3_hello_is_rejected_with_a_version_mismatch() {
+    assert_eq!(PROTOCOL_VERSION, 4);
+    let (daemon, worker) = pair();
+    let server = std::thread::spawn(move || server_handshake(&daemon, &context(3, 1.0, 50), true));
+    worker.send(&Message::Hello { version: 3, worker: "w-old".into() }).unwrap();
+    let mismatch = RpcError::VersionMismatch { ours: 4, theirs: 3 };
+    assert_eq!(server.join().unwrap().unwrap_err(), mismatch);
+    assert_eq!(worker.recv().unwrap(), Message::Error(mismatch));
 }

@@ -104,11 +104,11 @@ const NO_CELL: u64 = u64::MAX;
 ///
 /// One `SpanSink` per emitting process: the bench harness wraps its
 /// `--trace` sink in one (source = the binary name, run id = the pid), and
-/// every cluster worker wraps its daemon-forwarding sink in one (source =
-/// the worker name, run id = the daemon's wire-carried
-/// `SweepContext::run_id`). Sequence numbers are dense per sink — a gap in
-/// a recovered trace is proof of loss, which `trace_tool check` turns into
-/// a loud error.
+/// every traced cluster worker wraps its daemon forwarder and/or local
+/// `--trace` sink in one (source = the worker name, run id = the daemon's
+/// wire-carried `SweepContext::run_id`). Sequence numbers are dense per
+/// sink — a gap in a recovered trace is proof of loss, which `trace_tool
+/// check` turns into a loud error.
 ///
 /// Already-stamped events pass through untouched (see
 /// [`TelemetrySink::record_spanned`]): the daemon ingests worker
