@@ -77,28 +77,31 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The row-major elements.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The row-major elements, mutably (the trainer's fused update walks
+    /// weight and velocity rows in lockstep).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix-vector product `self * x`.
-    #[allow(clippy::needless_range_loop)] // indexing several buffers by one row index
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        if x.len() != self.cols {
-            return Err(AnnError::DimensionMismatch { expected: self.cols, actual: x.len() });
-        }
         let mut out = vec![0.0; self.rows];
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            out[r] = acc;
-        }
+        self.matvec_into(x, &mut out)?;
         Ok(out)
     }
 
     /// Matrix-vector product `self * x` written into a caller-supplied
-    /// buffer — the allocation-free core of [`Matrix::matvec`], with
-    /// bit-identical accumulation order (the batched forward pass relies on
-    /// that identity).
+    /// buffer — the allocation-free core of [`Matrix::matvec`].
+    ///
+    /// Rows are taken four at a time so four independent dot products are
+    /// in flight, but each row keeps its own sequential sum from `0.0` in
+    /// column order: every output is bit-identical to the one-row-at-a-time
+    /// loop (the batched forward pass and the trainer rely on that).
     #[inline]
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), AnnError> {
         if x.len() != self.cols {
@@ -107,7 +110,27 @@ impl Matrix {
         if out.len() != self.rows {
             return Err(AnnError::DimensionMismatch { expected: self.rows, actual: out.len() });
         }
-        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+        let cols = self.cols;
+        if cols == 0 {
+            out.fill(0.0);
+            return Ok(());
+        }
+        let mut rows = self.data.chunks_exact(4 * cols);
+        let mut outs = out.chunks_exact_mut(4);
+        for (o, quad) in (&mut outs).zip(&mut rows) {
+            let (w01, w23) = quad.split_at(2 * cols);
+            let (w0, w1) = w01.split_at(cols);
+            let (w2, w3) = w23.split_at(cols);
+            let mut acc = [0.0; 4];
+            for ((((xc, a), b), c), d) in x.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
+                acc[0] += a * xc;
+                acc[1] += b * xc;
+                acc[2] += c * xc;
+                acc[3] += d * xc;
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (o, row) in outs.into_remainder().iter_mut().zip(rows.remainder().chunks_exact(cols)) {
             let mut acc = 0.0;
             for (w, xi) in row.iter().zip(x) {
                 acc += w * xi;
@@ -333,6 +356,29 @@ mod tests {
             let my = m.matvec(&y).unwrap();
             for i in 0..rows {
                 prop_assert!((lhs[i] - (alpha * mx[i] + my[i])).abs() < 1e-9);
+            }
+        }
+
+        // Interleaving four rows must not change any row's sum: each output
+        // is bit-identical to a plain sequential dot product from 0.0.
+        #[test]
+        fn matvec_into_is_bitwise_the_row_by_row_loop(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            seed in 0u64..1000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0..3.0));
+            let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let mut out = vec![f64::NAN; rows];
+            m.matvec_into(&x, &mut out).unwrap();
+            for (r, o) in out.iter().enumerate() {
+                let mut acc = 0.0;
+                for (c, xc) in x.iter().enumerate() {
+                    acc += m.get(r, c) * xc;
+                }
+                prop_assert_eq!(o.to_bits(), acc.to_bits());
             }
         }
 

@@ -166,6 +166,17 @@ impl Mlp {
         &mut self.layers
     }
 
+    /// Overwrites every weight and bias with `other`'s, reusing this
+    /// network's buffers. Both networks must share one architecture (the
+    /// trainer's best-weights snapshot is a clone of the network it
+    /// tracks).
+    pub(crate) fn copy_params_from(&mut self, other: &Mlp) {
+        for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
+            dst.weights.as_mut_slice().copy_from_slice(src.weights.as_slice());
+            dst.biases.copy_from_slice(&src.biases);
+        }
+    }
+
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.layers[0].inputs()

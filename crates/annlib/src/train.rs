@@ -109,7 +109,8 @@ impl Trainer {
     /// Trains `net` in place on `train`, early-stopping on `val`.
     ///
     /// The network, training set and validation set must agree on input and
-    /// output dimensionality.
+    /// output dimensionality. Every buffer a training step needs is sized
+    /// once up front, so allocations do not grow with the sample count.
     pub fn train<R: Rng + ?Sized>(
         &self,
         net: &mut Mlp,
@@ -125,9 +126,10 @@ impl Trainer {
             .iter()
             .map(|l| (Matrix::zeros(l.weights.rows(), l.weights.cols()), vec![0.0; l.biases.len()]))
             .collect();
+        let mut scratch = Scratch::new(net);
 
         let mut best = net.clone();
-        let mut best_val = mse(net, val)?;
+        let mut best_val = scratch.mse(net, val)?;
         let mut since_improvement = 0usize;
         let mut history = Vec::new();
         let mut epochs_run = 0usize;
@@ -140,17 +142,17 @@ impl Trainer {
             order.shuffle(rng);
             for &idx in &order {
                 let (x, t) = train.sample(idx);
-                self.sgd_step(net, x, t, &mut velocities)?;
+                self.sgd_step(net, x, t, &mut velocities, &mut scratch)?;
             }
             if !net.is_finite() {
                 return Err(AnnError::NumericalInstability);
             }
 
-            let val_mse = mse(net, val)?;
+            let val_mse = scratch.mse(net, val)?;
             history.push(val_mse);
             if val_mse < best_val * (1.0 - self.config.min_delta) {
                 best_val = val_mse;
-                best = net.clone();
+                best.copy_params_from(net);
                 since_improvement = 0;
             } else {
                 since_improvement += 1;
@@ -163,7 +165,7 @@ impl Trainer {
 
         // Restore the best weights seen on the validation set.
         *net = best;
-        let final_train_mse = mse(net, train)?;
+        let final_train_mse = scratch.mse(net, train)?;
         Ok(TrainReport {
             epochs_run,
             early_stopped,
@@ -190,110 +192,139 @@ impl Trainer {
     }
 
     /// One stochastic gradient step on a single sample (the iterative
-    /// per-sample presentation described in the paper).
+    /// per-sample presentation described in the paper), fused: each weight
+    /// row is visited once per layer. The visit first backpropagates the
+    /// row's share of the lower layer's delta through the *pre-update*
+    /// weights, then applies, element by element,
+    /// `v = v·μ; v += (−η·δ_r)·x_c; v += (−η·λ)·w; w += v`. These are the
+    /// IEEE operations, in the same order, of a transposed product, a
+    /// momentum scale, a rank-1 update, a decay `axpy` and an apply `axpy`
+    /// over whole matrices, so the trained weights are bit-identical to
+    /// that unfused sequence (pinned by a proptest against it).
     fn sgd_step(
         &self,
         net: &mut Mlp,
         input: &[f64],
         target: &[f64],
         velocities: &mut [(Matrix, Vec<f64>)],
+        scratch: &mut Scratch,
     ) -> Result<(), AnnError> {
-        let trace = net.forward_trace(input)?;
-        let activations = &trace.activations;
-        let num_layers = net.layers().len();
+        scratch.forward(net, input)?;
+        let Scratch { acts, delta, below } = scratch;
+        let layers = net.layers_mut();
+        let num_layers = layers.len();
 
         // Output-layer delta: dE/dnet = (o - t) * f'(o) for squared error.
-        let output = trace.output();
-        let mut delta: Vec<f64> = output
-            .iter()
-            .zip(target)
-            .zip(net.layers()[num_layers - 1].activation.derivative_from_output_iter(output))
-            .map(|((o, t), d)| (o - t) * d)
-            .collect();
+        let act = layers[num_layers - 1].activation;
+        delta.clear();
+        delta.extend(
+            acts[num_layers - 1]
+                .iter()
+                .zip(target)
+                .map(|(&o, &t)| (o - t) * act.derivative_from_output(o)),
+        );
 
         let lr = self.config.learning_rate;
         let momentum = self.config.momentum;
         let decay = self.config.weight_decay;
+        let decay_rate = -lr * decay;
 
-        // Walk layers backwards, computing the delta of the layer below
-        // before mutating the current layer's weights.
         for layer_idx in (0..num_layers).rev() {
-            let prev_activation = activations[layer_idx].clone();
+            let (lower, upper) = layers.split_at_mut(layer_idx);
+            let layer = &mut upper[0];
+            let x: &[f64] = if layer_idx == 0 { input } else { &acts[layer_idx - 1] };
+            let (vel_w, vel_b) = &mut velocities[layer_idx];
+            let propagate = layer_idx > 0;
+            below.clear();
+            below.resize(if propagate { x.len() } else { 0 }, 0.0);
 
-            // Delta to propagate to the previous layer (before weight update).
-            let next_delta: Option<Vec<f64>> = if layer_idx > 0 {
-                let propagated = net.layers()[layer_idx].weights.matvec_transposed(&delta)?;
-                let below = &activations[layer_idx];
-                let act = net.layers()[layer_idx - 1].activation;
-                Some(
-                    propagated
-                        .iter()
-                        .zip(below)
-                        .map(|(p, y)| p * act.derivative_from_output(*y))
-                        .collect(),
-                )
-            } else {
-                None
-            };
-
+            let cols = x.len();
+            let rows = layer.weights.as_mut_slice().chunks_exact_mut(cols);
+            for ((w_row, v_row), &d) in
+                rows.zip(vel_w.as_mut_slice().chunks_exact_mut(cols)).zip(&*delta)
             {
-                let layer = &mut net.layers_mut()[layer_idx];
-                let (vel_w, vel_b) = &mut velocities[layer_idx];
-
-                // velocity = momentum * velocity - lr * grad; weights += velocity
-                vel_w.scale(momentum);
-                vel_w.rank1_update(-lr, &delta, &prev_activation)?;
-                if decay > 0.0 {
-                    vel_w.axpy(-lr * decay, &layer.weights.clone())?;
+                for (b, w) in below.iter_mut().zip(&*w_row) {
+                    *b += w * d;
                 }
-                layer.weights.axpy(1.0, vel_w)?;
-
-                for ((vb, b), d) in vel_b.iter_mut().zip(layer.biases.iter_mut()).zip(&delta) {
-                    *vb = momentum * *vb - lr * d;
-                    *b += *vb;
+                let rate = -lr * d;
+                for ((w, v), &xc) in w_row.iter_mut().zip(v_row).zip(x) {
+                    let mut vel = *v * momentum;
+                    vel += rate * xc;
+                    if decay > 0.0 {
+                        vel += decay_rate * *w;
+                    }
+                    *v = vel;
+                    *w += vel;
                 }
             }
+            for ((vb, b), d) in vel_b.iter_mut().zip(layer.biases.iter_mut()).zip(&*delta) {
+                *vb = momentum * *vb - lr * d;
+                *b += *vb;
+            }
 
-            if let Some(nd) = next_delta {
-                delta = nd;
+            if propagate {
+                let act = lower[layer_idx - 1].activation;
+                for (b, &y) in below.iter_mut().zip(x) {
+                    *b *= act.derivative_from_output(y);
+                }
+                std::mem::swap(delta, below);
             }
         }
         Ok(())
     }
 }
 
-/// Mean squared error of a network over a dataset.
-pub fn mse(net: &Mlp, data: &Dataset) -> Result<f64, AnnError> {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for i in 0..data.len() {
-        let (x, t) = data.sample(i);
-        let y = net.predict(x)?;
-        for (yi, ti) in y.iter().zip(t) {
-            let d = yi - ti;
-            total += d * d;
-            count += 1;
+/// The buffers of one training run: every layer's output for the sample in
+/// flight, the delta being applied and the delta accumulating for the
+/// layer below. Sized from the network once, reused for every step and
+/// every mean-squared-error pass.
+struct Scratch {
+    /// `acts[i]` is the output of layer `i` (the input is read in place).
+    acts: Vec<Vec<f64>>,
+    delta: Vec<f64>,
+    below: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(net: &Mlp) -> Self {
+        let widest = net.layers().iter().map(|l| l.inputs().max(l.outputs())).max().unwrap_or(0);
+        Self {
+            acts: net.layers().iter().map(|l| vec![0.0; l.outputs()]).collect(),
+            delta: Vec::with_capacity(widest),
+            below: Vec::with_capacity(widest),
         }
     }
-    Ok(total / count.max(1) as f64)
-}
 
-/// Extension helper so the output-layer delta can be written as an iterator
-/// chain above.
-trait DerivIter {
-    fn derivative_from_output_iter<'a>(
-        &'a self,
-        outputs: &'a [f64],
-    ) -> Box<dyn Iterator<Item = f64> + 'a>;
-}
-
-impl DerivIter for crate::activation::Activation {
-    fn derivative_from_output_iter<'a>(
-        &'a self,
-        outputs: &'a [f64],
-    ) -> Box<dyn Iterator<Item = f64> + 'a> {
-        Box::new(outputs.iter().map(move |&y| self.derivative_from_output(y)))
+    /// Forward pass of `input` through every layer, bit-identical to
+    /// [`Mlp::predict`]; returns the network output.
+    fn forward(&mut self, net: &Mlp, input: &[f64]) -> Result<&[f64], AnnError> {
+        let mut x = input;
+        for (layer, out) in net.layers().iter().zip(&mut self.acts) {
+            layer.forward_into(x, out)?;
+            x = out;
+        }
+        Ok(self.acts.last().expect("an MLP has at least one layer"))
     }
+
+    /// Mean squared error of `net` over `data`.
+    fn mse(&mut self, net: &Mlp, data: &Dataset) -> Result<f64, AnnError> {
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for i in 0..data.len() {
+            let (x, t) = data.sample(i);
+            for (yi, ti) in self.forward(net, x)?.iter().zip(t) {
+                let d = yi - ti;
+                total += d * d;
+                count += 1;
+            }
+        }
+        Ok(total / count.max(1) as f64)
+    }
+}
+
+/// Mean squared error of a network over a dataset.
+pub fn mse(net: &Mlp, data: &Dataset) -> Result<f64, AnnError> {
+    Scratch::new(net).mse(net, data)
 }
 
 #[cfg(test)]
@@ -434,5 +465,223 @@ mod tests {
         // With near-zero weights the prediction is ~bias≈0, so MSE ≈ (1+9)/2 = 5.
         let e = mse(&net, &data).unwrap();
         assert!((e - 5.0).abs() < 0.5);
+    }
+
+    /// The fused trainer against the step it replaced.
+    mod fused_vs_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The per-sample step as first written on the [`Matrix`] helpers — a
+        /// forward trace, a transposed product for the lower delta, then whole-
+        /// matrix momentum scale, rank-1 update, decay `axpy` and apply `axpy`
+        /// — kept as the referee the fused [`Trainer::sgd_step`] must match
+        /// bit for bit.
+        fn reference_step(
+            config: &TrainConfig,
+            net: &mut Mlp,
+            input: &[f64],
+            target: &[f64],
+            velocities: &mut [(Matrix, Vec<f64>)],
+        ) -> Result<(), AnnError> {
+            let trace = net.forward_trace(input)?;
+            let activations = &trace.activations;
+            let num_layers = net.layers().len();
+            let out_act = net.layers()[num_layers - 1].activation;
+            let mut delta: Vec<f64> = trace
+                .output()
+                .iter()
+                .zip(target)
+                .map(|(o, t)| (o - t) * out_act.derivative_from_output(*o))
+                .collect();
+            let (lr, momentum, decay) =
+                (config.learning_rate, config.momentum, config.weight_decay);
+            for layer_idx in (0..num_layers).rev() {
+                let prev_activation = activations[layer_idx].clone();
+                let next_delta: Option<Vec<f64>> = if layer_idx > 0 {
+                    let propagated = net.layers()[layer_idx].weights.matvec_transposed(&delta)?;
+                    let act = net.layers()[layer_idx - 1].activation;
+                    Some(
+                        propagated
+                            .iter()
+                            .zip(&activations[layer_idx])
+                            .map(|(p, y)| p * act.derivative_from_output(*y))
+                            .collect(),
+                    )
+                } else {
+                    None
+                };
+                let layer = &mut net.layers_mut()[layer_idx];
+                let (vel_w, vel_b) = &mut velocities[layer_idx];
+                vel_w.scale(momentum);
+                vel_w.rank1_update(-lr, &delta, &prev_activation)?;
+                if decay > 0.0 {
+                    vel_w.axpy(-lr * decay, &layer.weights.clone())?;
+                }
+                layer.weights.axpy(1.0, vel_w)?;
+                for ((vb, b), d) in vel_b.iter_mut().zip(layer.biases.iter_mut()).zip(&delta) {
+                    *vb = momentum * *vb - lr * d;
+                    *b += *vb;
+                }
+                if let Some(nd) = next_delta {
+                    delta = nd;
+                }
+            }
+            Ok(())
+        }
+
+        /// [`mse`] as first written, one allocating [`Mlp::predict`] per sample.
+        fn reference_mse(net: &Mlp, data: &Dataset) -> Result<f64, AnnError> {
+            let mut total = 0.0;
+            let mut count = 0usize;
+            for i in 0..data.len() {
+                let (x, t) = data.sample(i);
+                for (yi, ti) in net.predict(x)?.iter().zip(t) {
+                    let d = yi - ti;
+                    total += d * d;
+                    count += 1;
+                }
+            }
+            Ok(total / count.max(1) as f64)
+        }
+
+        /// [`Trainer::train`] as first written: the same epoch loop over
+        /// [`reference_step`], cloning the best network on every improvement.
+        fn reference_train(
+            config: &TrainConfig,
+            net: &mut Mlp,
+            train: &Dataset,
+            val: &Dataset,
+            rng: &mut StdRng,
+        ) -> Result<TrainReport, AnnError> {
+            let mut velocities: Vec<(Matrix, Vec<f64>)> = net
+                .layers()
+                .iter()
+                .map(|l| {
+                    (Matrix::zeros(l.weights.rows(), l.weights.cols()), vec![0.0; l.biases.len()])
+                })
+                .collect();
+            let mut best = net.clone();
+            let mut best_val = reference_mse(net, val)?;
+            let (mut since_improvement, mut epochs_run, mut early_stopped) = (0, 0, false);
+            let mut history = Vec::new();
+            let mut order: Vec<usize> = (0..train.len()).collect();
+            for _epoch in 0..config.max_epochs {
+                epochs_run += 1;
+                order.shuffle(rng);
+                for &idx in &order {
+                    let (x, t) = train.sample(idx);
+                    reference_step(config, net, x, t, &mut velocities)?;
+                }
+                if !net.is_finite() {
+                    return Err(AnnError::NumericalInstability);
+                }
+                let val_mse = reference_mse(net, val)?;
+                history.push(val_mse);
+                if val_mse < best_val * (1.0 - config.min_delta) {
+                    best_val = val_mse;
+                    best = net.clone();
+                    since_improvement = 0;
+                } else {
+                    since_improvement += 1;
+                    if since_improvement > config.patience {
+                        early_stopped = true;
+                        break;
+                    }
+                }
+            }
+            *net = best;
+            let final_train_mse = reference_mse(net, train)?;
+            Ok(TrainReport {
+                epochs_run,
+                early_stopped,
+                final_train_mse,
+                best_val_mse: best_val,
+                val_mse_history: history,
+            })
+        }
+
+        fn param_bits(net: &Mlp) -> Vec<u64> {
+            net.layers()
+                .iter()
+                .flat_map(|l| l.weights.as_slice().iter().chain(&l.biases))
+                .map(|v| v.to_bits())
+                .collect()
+        }
+
+        fn report_bits(r: &TrainReport) -> (usize, bool, u64, u64, Vec<u64>) {
+            (
+                r.epochs_run,
+                r.early_stopped,
+                r.final_train_mse.to_bits(),
+                r.best_val_mse.to_bits(),
+                r.val_mse_history.iter().map(|v| v.to_bits()).collect(),
+            )
+        }
+
+        const ACTIVATIONS: [Activation; 4] =
+            [Activation::Sigmoid, Activation::Tanh, Activation::Relu, Activation::Linear];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            // The fused, allocation-free trainer against the step it replaced:
+            // every weight and bias, the whole report and the RNG's next draw
+            // (so the draw order is unchanged) must agree bit for bit.
+            #[test]
+            fn fused_training_is_bitwise_the_reference(
+                seed in 0u64..1_000_000,
+                inputs in 1usize..5,
+                depth in 1usize..3,
+                width_a in 1usize..17,
+                width_b in 1usize..17,
+                outputs in 1usize..3,
+                hidden_act in 0usize..4,
+                output_act in 0usize..4,
+                decay_on in 0u8..2,
+                momentum_on in 0u8..2,
+                epochs in 1usize..6,
+                patience in 0usize..3,
+                n in 8usize..40,
+            ) {
+                use rand::{Rng, RngCore};
+                let mut rng = StdRng::seed_from_u64(seed);
+                let xs: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..inputs).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+                let ys: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..outputs).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+                let (train, val) =
+                    Dataset::new(xs, ys).unwrap().train_val_split(0.25, &mut rng).unwrap();
+                let mut sizes = vec![inputs];
+                sizes.extend_from_slice(&[width_a, width_b][..depth]);
+                sizes.push(outputs);
+                let net =
+                    Mlp::new(&sizes, ACTIVATIONS[hidden_act], ACTIVATIONS[output_act], &mut rng)
+                        .unwrap();
+                let config = TrainConfig {
+                    learning_rate: rng.gen_range(0.01..0.3),
+                    momentum: if momentum_on == 1 { rng.gen_range(0.1..0.9) } else { 0.0 },
+                    max_epochs: epochs,
+                    patience,
+                    weight_decay: if decay_on == 1 { rng.gen_range(1e-4..1e-2) } else { 0.0 },
+                    ..TrainConfig::default()
+                };
+
+                let (mut fused_net, mut fused_rng) = (net.clone(), rng.clone());
+                let fused = Trainer::new(config.clone())
+                    .unwrap()
+                    .train(&mut fused_net, &train, &val, &mut fused_rng);
+                let (mut reference_net, mut reference_rng) = (net, rng);
+                let reference =
+                    reference_train(&config, &mut reference_net, &train, &val, &mut reference_rng);
+                match (&fused, &reference) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(report_bits(a), report_bits(b)),
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    _ => prop_assert!(false, "fused {fused:?} vs reference {reference:?}"),
+                }
+                prop_assert_eq!(param_bits(&fused_net), param_bits(&reference_net));
+                prop_assert_eq!(fused_rng.next_u64(), reference_rng.next_u64());
+            }
+        }
     }
 }

@@ -55,6 +55,13 @@
 //!   reintroduced per-call menu rebuild shows up as tens of allocations.
 //! * **Sweep cell count** must match exactly (coverage guard).
 //!
+//! The model-build wall clocks, `sweep_model_build_s` (`cluster_sweep`'s
+//! in-process ANN training) and `scenario_model_build_s` (`scenario_sweep`'s
+//! fleet build), are collected into the trajectory for the record. They
+//! are not in the committed baseline and no rule above matches their keys,
+//! so they gate nothing: a single run of a seconds-scale build is too noisy
+//! for a bound until the gate measures run-to-run spread (ROADMAP item 1).
+//!
 //! Intentional changes: re-bless the baseline with
 //! `cargo run --bin bench_check -- --write-baseline` and commit the updated
 //! `results/BENCH_sweep.json`; `BENCH_CHECK_SKIP=1` disables the gate for a
@@ -137,6 +144,9 @@ fn collect() -> Trajectory {
         push("sweep_cells", sweep.get("cells").and_then(as_f64));
         push("sweep_wall_clock_s", sweep.get("wall_clock_s").and_then(as_f64));
         push("sweep_cells_per_sec", sweep.get("cells_per_sec").and_then(as_f64));
+        // The ANN model build ahead of the sweep — collected, not gated
+        // (see the module docs).
+        push("sweep_model_build_s", sweep.get("model_build_s").and_then(as_f64));
         // Mean power-aware ED² vs FCFS across every (nodes, budget, seed)
         // group of the grid.
         let aware = sweep.get("policy_mean_ed2_vs_fcfs_pct").and_then(|pairs| match pairs {
@@ -167,6 +177,7 @@ fn collect() -> Trajectory {
     }
 
     if let Some(scenario) = load("scenario_sweep.json") {
+        push("scenario_model_build_s", scenario.get("model_build_s").and_then(as_f64));
         // The scenario-engine acceptance headline: coordinated capping's
         // mean ED² delta vs independent power-aware-dvfs over the
         // heterogeneous (mixed-generation) cells of the scenario grid.

@@ -30,6 +30,7 @@
 //!   cluster event, completed sweep cell and progress note.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use actor_bench::sweep_out::{
     cells_output, default_spec, score_policies, sweep_output, sweep_table_headers, sweep_table_row,
@@ -68,6 +69,7 @@ fn main() {
         streaming = streaming.with_telemetry(sink);
     }
 
+    let mut model_build_s = None;
     let run: SweepRun = if let Some(processes) = args.processes {
         // Distributed mode: the daemon owns the grid, N spawned workers
         // each rebuild the model from the wire-carried context.
@@ -102,7 +104,9 @@ fn main() {
         let jobs = args.jobs_or_auto();
         let exp = harness.experiment();
         eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
+        let started = Instant::now();
         let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+        model_build_s = Some(started.elapsed().as_secs_f64());
         eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
         run_sweep_traced(&spec, &model, jobs, harness.telemetry_sink(), |outcome, _, _| {
             streaming.row(outcome.cell.index, sweep_table_row(outcome));
@@ -111,6 +115,9 @@ fn main() {
     };
 
     let mut reporter = streaming.finish();
+    if let Some(secs) = model_build_s {
+        reporter.note(&format!("model build: {secs:.2} s"));
+    }
     reporter.note(&format!(
         "sweep: {} cells in {:.1} s on {} worker(s) ({:.2} cells/s)",
         run.outcomes.len(),
@@ -136,7 +143,8 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&sweep_output(&run)).expect("sweep serializes");
+    let json =
+        serde_json::to_string_pretty(&sweep_output(&run, model_build_s)).expect("sweep serializes");
     reporter.artifact("cluster_sweep.json", &json);
     // The timing-free twin: byte-identical across every execution mode.
     let cells_json =

@@ -26,6 +26,7 @@
 //! `node_failed`/`node_recovered`/`slo_violated` events).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use actor_bench::sweep_out::{cells_output, score_policies};
 use actor_bench::Harness;
@@ -59,6 +60,9 @@ struct ScenarioEntry {
 struct ScenarioOutput {
     nodes: usize,
     workload_seed: u64,
+    /// Wall-clock of the fleet build (s): every generation's leave-one-out
+    /// ANN training. Varies run to run, like the sweep timing.
+    model_build_s: f64,
     entries: Vec<ScenarioEntry>,
     /// Coordinated ED² vs independent per machine mix, averaged over the
     /// (budget × faults × arrivals) cells of that mix (%; negative =
@@ -103,10 +107,13 @@ fn main() {
          the NPB suite)...",
         mixes.iter().flat_map(|m| m.generations()).collect::<std::collections::BTreeSet<_>>().len()
     );
+    let started = Instant::now();
     let fleet = Arc::new(
         FleetModel::build(&harness.args.config(), &BenchmarkId::ALL, &mixes)
             .unwrap_or_else(|e| panic!("fleet model construction failed: {e}")),
     );
+    let model_build_s = started.elapsed().as_secs_f64();
+    eprintln!("fleet model built in {model_build_s:.2} s");
 
     eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
     let run = run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), |outcome, _, _| {
@@ -259,6 +266,7 @@ fn main() {
     let output = ScenarioOutput {
         nodes: *spec.nodes.first().expect("the grid has a node count"),
         workload_seed: *spec.seeds.first().expect("the grid has a workload seed"),
+        model_build_s,
         entries,
         coordinated_vs_independent_ed2_pct: per_mix,
         coordinated_vs_independent_hetero_ed2_pct: hetero,

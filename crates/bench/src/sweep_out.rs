@@ -50,13 +50,17 @@ pub struct CellEntry {
 }
 
 /// The full `cluster_sweep.json` artefact: cells plus scoreboard plus
-/// timing. The timing fields (`jobs`, `wall_clock_s`, `cells_per_sec`)
-/// vary run to run — byte-identity across execution modes is the job of
-/// [`CellsOutput`].
+/// timing. The timing fields (`model_build_s`, `jobs`, `wall_clock_s`,
+/// `cells_per_sec`) vary run to run — byte-identity across execution modes
+/// is the job of [`CellsOutput`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepOutput {
     /// Completed cells.
     pub cells: usize,
+    /// Wall-clock of the in-process model build (s): the leave-one-out
+    /// ANN training that precedes the sweep. `None` when worker processes
+    /// built their own models.
+    pub model_build_s: Option<f64>,
     /// Worker threads (or processes) used.
     pub jobs: usize,
     /// Wall-clock of the execute phase (s).
@@ -206,11 +210,13 @@ pub fn cells_output(outcomes: &[SweepCellOutcome]) -> CellsOutput {
     }
 }
 
-/// The full artefact, timing included.
-pub fn sweep_output(run: &SweepRun) -> SweepOutput {
+/// The full artefact, timing included; `model_build_s` as for
+/// [`SweepOutput::model_build_s`].
+pub fn sweep_output(run: &SweepRun, model_build_s: Option<f64>) -> SweepOutput {
     let (means, wins) = score_policies(&run.outcomes);
     SweepOutput {
         cells: run.outcomes.len(),
+        model_build_s,
         jobs: run.jobs,
         wall_clock_s: run.wall_clock_s,
         cells_per_sec: run.cells_per_sec(),

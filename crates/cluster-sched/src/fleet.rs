@@ -19,6 +19,8 @@
 //!   (and the control plane's interned menus) holds every generation's
 //!   decisions without aliasing.
 
+use std::thread;
+
 use actor_core::controller::DecisionTableController;
 use actor_core::ActorConfig;
 use npb_workloads::BenchmarkId;
@@ -189,6 +191,13 @@ impl FleetModel {
     /// the same fleet — and byte-identical results — no matter which
     /// process builds it (the distributed workers rebuild fleets from mix
     /// names on the wire).
+    ///
+    /// The reference generation builds on the calling thread, so a uniform
+    /// fleet takes exactly the single-model path; every further generation
+    /// builds on its own scoped thread. Each build seeds its own RNG from
+    /// `config.seed`, so the models are the serial loop's bit for bit. As
+    /// in that loop, the lowest-index generation's failure wins: its typed
+    /// error is returned, or its panic re-raised.
     pub fn build(
         config: &ActorConfig,
         ids: &[BenchmarkId],
@@ -202,18 +211,32 @@ impl FleetModel {
             .copied()
             .filter(|g| *g == "qx6600" || mixes.iter().any(|m| m.pattern.iter().any(|p| p == g)))
             .collect();
-        let mut gens = Vec::with_capacity(needed.len());
-        for (idx, name) in needed.iter().enumerate() {
+        let build_gen = |idx: usize, name: &str| -> Result<FleetGen, ClusterError> {
             let machine = Machine::by_gen_name(name).expect("names come from the registry");
             let model = WorkloadModel::build(&machine, config, ids)?
                 .with_phase_id_base(idx as u32 * GEN_PHASE_ID_STRIDE);
-            gens.push(FleetGen {
-                name: (*name).to_string(),
+            Ok(FleetGen {
+                name: name.to_string(),
                 idle_w: machine.params().power.system_idle_w,
                 machine,
                 model,
-            });
-        }
+            })
+        };
+        let built: Vec<thread::Result<Result<FleetGen, ClusterError>>> = thread::scope(|scope| {
+            let others: Vec<_> = needed
+                .iter()
+                .enumerate()
+                .skip(1)
+                .map(|(idx, name)| scope.spawn(move || build_gen(idx, name)))
+                .collect();
+            let reference = build_gen(0, needed[0]);
+            std::iter::once(Ok(reference)).chain(others.into_iter().map(|h| h.join())).collect()
+        });
+        // In generation order: the first panic or error ends the walk.
+        let gens = built
+            .into_iter()
+            .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect::<Result<_, _>>()?;
         Ok(Self { gens })
     }
 

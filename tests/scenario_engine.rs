@@ -11,23 +11,28 @@ use proptest::prelude::*;
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
     budget_for_mix, fault_timeline, mix_by_name, policy_by_name_fleet, run_sweep_fleet, simulate,
-    simulate_fleet, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepSpec, WorkloadSpec,
+    simulate_fleet, ClusterError, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepSpec,
+    WorkloadModel, WorkloadSpec, GEN_PHASE_ID_STRIDE,
 };
-use actor_suite::sim::Machine;
+use actor_suite::sim::{Configuration, Machine};
 use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 const NODES: usize = 8;
 const MAX_NODE_W: f64 = 160.0;
 
+/// The small, fast model configuration every fleet here is trained with.
+fn fleet_config() -> ActorConfig {
+    ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() }
+}
+
 /// One mixed-generation fleet for the whole binary: models for all three
 /// machine generations, trained on the four-benchmark test corpus.
 fn fleet() -> &'static Arc<FleetModel> {
     static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
     FLEET.get_or_init(|| {
-        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
         let mixes = vec![mix_by_name("mixed").expect("built-in mix")];
-        Arc::new(FleetModel::build(&config, &IDS, &mixes).expect("fleet builds"))
+        Arc::new(FleetModel::build(&fleet_config(), &IDS, &mixes).expect("fleet builds"))
     })
 }
 
@@ -221,4 +226,49 @@ fn scenario_sweep_results_are_byte_identical_across_worker_counts() {
     };
     let serial = bytes_at(1);
     assert_eq!(serial, bytes_at(8), "worker count must not leak into results");
+}
+
+type DecisionBits = (u32, Configuration, u64, Vec<(Configuration, u64)>);
+
+/// Every phase decision of a model with its floats as bit patterns, so
+/// equality is bitwise.
+fn decision_bits(model: &WorkloadModel) -> Vec<DecisionBits> {
+    model
+        .decision_entries()
+        .map(|(id, d)| {
+            let ranked = d.ranked_predictions.iter().map(|&(c, ipc)| (c, ipc.to_bits()));
+            (id.raw(), d.chosen, d.sampled_ipc.to_bits(), ranked.collect())
+        })
+        .collect()
+}
+
+/// The generation-parallel fleet build is the serial one: the mixed fleet
+/// needs all three generations, and each equals a serial
+/// `WorkloadModel::build` moved into that generation's phase-id namespace.
+#[test]
+fn parallel_fleet_build_matches_serial_generation_builds() {
+    let names: Vec<&str> = fleet().gens().iter().map(|g| g.name.as_str()).collect();
+    assert_eq!(names, ["qx6600", "e5450", "x5355"], "generations keep registry order");
+    for (idx, gen) in fleet().gens().iter().enumerate() {
+        let machine = Machine::by_gen_name(&gen.name).expect("registry generation");
+        let serial = WorkloadModel::build(&machine, &fleet_config(), &IDS)
+            .expect("serial build")
+            .with_phase_id_base(idx as u32 * GEN_PHASE_ID_STRIDE);
+        assert_eq!(
+            decision_bits(&gen.model),
+            decision_bits(&serial),
+            "generation {} differs from its serial build",
+            gen.name
+        );
+    }
+}
+
+/// A generation that cannot build fails the fleet with its typed error —
+/// no hang waiting on the other generations, no panic.
+#[test]
+fn fleet_build_failure_is_a_typed_error() {
+    let mixes = vec![mix_by_name("mixed").expect("built-in mix")];
+    let err = FleetModel::build(&fleet_config(), &[BenchmarkId::Cg], &mixes)
+        .expect_err("leave-one-out training needs two benchmarks");
+    assert!(matches!(err, ClusterError::Actor(_)), "typed pipeline error, got {err:?}");
 }
