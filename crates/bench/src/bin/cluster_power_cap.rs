@@ -35,8 +35,8 @@ use actor_core::report::{fmt3, StreamingReporter};
 use cluster_daemon::{run_distributed, ProcessSweepOptions};
 use cluster_rpc::SweepContext;
 use cluster_sched::{
-    budget_from_fraction, cluster_summary_headers, cluster_summary_row, job_table,
-    run_sweep_traced, ClusterReport, SweepCellOutcome, SweepSpec,
+    budget_from_fraction, cluster_summary_headers, cluster_summary_row, job_table, run_sweep_fleet,
+    ClusterReport, SweepCellOutcome, SweepSpec,
 };
 use npb_workloads::BenchmarkId;
 use serde::{Deserialize, Serialize};
@@ -139,9 +139,10 @@ fn main() {
     } else {
         let jobs = harness.args.jobs_or_auto();
         eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-        let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+        let mixes = spec.mixes().unwrap_or_else(|e| panic!("{e}"));
+        let fleet = Arc::new(exp.fleet_model(&mixes).expect("fleet model construction failed"));
         eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-        run_sweep_traced(&spec, &model, jobs, harness.telemetry_sink(), &mut on_cell)
+        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), &mut on_cell)
             .unwrap_or_else(|e| panic!("sweep failed: {e}"))
     };
     let mut reporter = streaming.finish();

@@ -1,7 +1,8 @@
 //! `cluster_sweep` — the policy-search demonstrator for the parallel sweep
 //! engine: a ~1000-cell grid over nodes × budgets × policies × seeds, run
 //! concurrently on `phase_rt::ThreadPool` workers against one `Arc`-shared
-//! ANN-trained workload model — or, under `--processes N`, on N local
+//! ANN-trained fleet model (one workload model per machine generation the
+//! grid names) — or, under `--processes N`, on N local
 //! worker *processes* dispatched by the cluster daemon.
 //!
 //! Every policy is scored across the whole space: per (nodes, budget, seed)
@@ -39,7 +40,7 @@ use actor_bench::{BenchArgs, FileReporter, Harness};
 use actor_core::report::{StreamingReporter, Table};
 use cluster_daemon::{run_distributed, ProcessSweepOptions};
 use cluster_rpc::SweepContext;
-use cluster_sched::{run_sweep_traced, SweepRun};
+use cluster_sched::{run_sweep_fleet, SweepRun};
 use npb_workloads::BenchmarkId;
 
 fn main() {
@@ -104,11 +105,12 @@ fn main() {
         let jobs = args.jobs_or_auto();
         let exp = harness.experiment();
         eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
+        let mixes = spec.mixes().unwrap_or_else(|e| panic!("{e}"));
         let started = Instant::now();
-        let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+        let fleet = Arc::new(exp.fleet_model(&mixes).expect("fleet model construction failed"));
         model_build_s = Some(started.elapsed().as_secs_f64());
         eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-        run_sweep_traced(&spec, &model, jobs, harness.telemetry_sink(), |outcome, _, _| {
+        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), |outcome, _, _| {
             streaming.row(outcome.cell.index, sweep_table_row(outcome));
         })
         .unwrap_or_else(|e| panic!("sweep failed: {e}"))

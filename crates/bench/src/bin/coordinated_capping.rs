@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use actor_bench::Harness;
 use actor_core::report::{fmt3, Table};
-use cluster_sched::{run_sweep_traced, ClusterReport, SweepSpec};
+use cluster_sched::{run_sweep_fleet, ClusterReport, SweepSpec};
 use serde::{Deserialize, Serialize};
 
 const NODES: usize = 8;
@@ -62,17 +62,14 @@ fn main() {
     }
     let mut exp = harness.experiment();
 
-    eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-    let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
-
     let spec = SweepSpec::coordinated_default();
+    eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
+    let mixes = spec.mixes().unwrap_or_else(|e| panic!("{e}"));
+    let fleet = Arc::new(exp.fleet_model(&mixes).expect("fleet model construction failed"));
+
     eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-    let run = run_sweep_traced(
-        &spec,
-        &model,
-        jobs,
-        harness.telemetry_sink(),
-        |outcome, _done, _total| {
+    let run =
+        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), |outcome, _done, _total| {
             let (p, r) = (&outcome.cell.point, &outcome.report);
             eprintln!(
                 "  {:<6} ({:.0} W) | {:<23} -> makespan {:.0} s, ED2 {:.3e} J.s2",
@@ -82,9 +79,8 @@ fn main() {
                 r.makespan_s,
                 r.cluster_ed2(),
             );
-        },
-    )
-    .unwrap_or_else(|e| panic!("sweep failed: {e}"));
+        })
+        .unwrap_or_else(|e| panic!("sweep failed: {e}"));
     eprintln!(
         "sweep: {} cells in {:.1} s on {} worker thread(s) ({:.2} cells/s)",
         run.outcomes.len(),

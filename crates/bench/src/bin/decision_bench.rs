@@ -51,7 +51,8 @@ use actor_core::telemetry::{
 };
 use actor_core::Reporter;
 use cluster_sched::{
-    budget_from_fraction, policy_by_name, simulate_traced, ClusterSpec, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name_fleet, simulate_fleet, ClusterSpec, MachineMix,
+    WorkloadModel, WorkloadSpec,
 };
 use phase_rt::{MachineShape, PhaseId};
 use serde::Serialize;
@@ -189,7 +190,8 @@ fn main() {
     let exp = harness.experiment();
 
     eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-    let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+    let fleet = exp.fleet_model(&[MachineMix::uniform()]).expect("fleet model construction failed");
+    let model = fleet.reference();
 
     let registry = Arc::new(MetricsRegistry::new());
     let sink: SharedSink = match harness.telemetry_sink() {
@@ -199,7 +201,7 @@ fn main() {
 
     // Section 1: the tight decide loop, two interleaved arms (interleaving
     // shares thermal/frequency drift fairly between them), best-of-5 each.
-    let cases = phase_cases(&model);
+    let cases = phase_cases(model);
     let ladder = model.freq_ladder();
     let mut bare_plane = ControlPlane::new(model.decision_table(), MachineShape::quad_core());
     // Windows must comfortably exceed the scheduler-noise floor: at ~2 M
@@ -288,7 +290,7 @@ fn main() {
                 cluster_sched::sweep::DEFAULT_MAX_NODE_W,
                 0.7,
             ),
-            machines: cluster_sched::MachineMix::uniform(),
+            machines: MachineMix::uniform(),
             faults: cluster_sched::FaultSpec::default(),
             workload: WorkloadSpec {
                 num_jobs: 4 * nodes,
@@ -314,12 +316,12 @@ fn main() {
         let mut events = 0u64;
         let mut makespan_s = 0.0f64;
         for _ in 0..CLUSTER_REPEATS {
-            let mut policy = policy_by_name("power-aware", &model).expect("built-in policy");
+            let mut policy = policy_by_name_fleet("power-aware", &fleet).expect("built-in policy");
             let before = counter_total(&registry);
             let started = Instant::now();
-            let report = simulate_traced(
+            let report = simulate_fleet(
                 &spec,
-                &model,
+                &fleet,
                 policy.as_mut(),
                 Some(cluster_ring.clone() as SharedSink),
             )

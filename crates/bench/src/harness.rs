@@ -290,7 +290,7 @@ impl Harness {
     }
 
     /// The `--trace` sink, if one was requested — cluster bins pass it to
-    /// `run_sweep_traced`/`simulate_traced` so their sweeps share the
+    /// `run_sweep_fleet`/`simulate_fleet` so their sweeps share the
     /// experiment's trace file.
     pub fn telemetry_sink(&self) -> Option<actor_core::telemetry::SharedSink> {
         self.trace_sink.clone()

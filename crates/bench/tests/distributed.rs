@@ -26,9 +26,8 @@ use cluster_daemon::{
     accept_unix, run_distributed, serve, DaemonConfig, DistRun, ProcessSweepOptions,
 };
 use cluster_rpc::SweepContext;
-use cluster_sched::{quad_test_workload, run_sweep, SweepRun, SweepSpec, WorkloadModel};
+use cluster_sched::{quad_test_workload, run_sweep_fleet, FleetModel, SweepRun, SweepSpec};
 use npb_workloads::BenchmarkId;
-use xeon_sim::Machine;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
@@ -36,11 +35,9 @@ fn config() -> ActorConfig {
     ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() }
 }
 
-fn model() -> Arc<WorkloadModel> {
-    static MODEL: OnceLock<Arc<WorkloadModel>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        Arc::new(WorkloadModel::build(&Machine::xeon_qx6600(), &config(), &IDS).unwrap())
-    }))
+fn fleet() -> Arc<FleetModel> {
+    static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
+    Arc::clone(FLEET.get_or_init(|| Arc::new(FleetModel::build(&config(), &IDS, &[]).unwrap())))
 }
 
 /// The context the daemon serves: workers must rebuild exactly the model
@@ -131,10 +128,10 @@ fn assert_same_outcomes(label: &str, reference: &SweepRun, run: &SweepRun) {
 #[test]
 fn every_execution_mode_is_byte_identical() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
     assert_eq!(serial.outcomes.len(), spec.len());
 
-    let threaded = run_sweep(&spec, &model(), 8, |_, _, _| {}).unwrap();
+    let threaded = run_sweep_fleet(&spec, &fleet(), 8, None, |_, _, _| {}).unwrap();
     assert_same_outcomes("--jobs 8", &serial, &threaded);
 
     let opts =
@@ -161,7 +158,7 @@ fn every_execution_mode_is_byte_identical() {
 #[test]
 fn a_sigkilled_worker_process_does_not_stop_the_daemon() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
 
     let socket = unique_socket("sigkill");
     let _ = std::fs::remove_file(&socket);

@@ -58,12 +58,12 @@ impl DaemonConfig {
     }
 }
 
-/// A completed distributed sweep: the `run_sweep`-shaped result plus
+/// A completed distributed sweep: the `run_sweep_fleet`-shaped result plus
 /// distribution bookkeeping.
 #[derive(Debug, Clone)]
 pub struct DistRun {
     /// Outcomes sorted by cell index — renders byte-identical to
-    /// [`cluster_sched::run_sweep`] on the same grid. `run.jobs` is the
+    /// [`cluster_sched::run_sweep_fleet`] on the same grid. `run.jobs` is the
     /// number of distinct workers that ever joined.
     pub run: SweepRun,
     /// Distinct workers that completed the handshake.
@@ -231,11 +231,11 @@ fn drop_worker(
 /// Workers arrive as connected [`Wire`]s on `conns` (a Unix-socket accept
 /// loop in production, [`cluster_rpc::duplex`] halves in tests) and may
 /// join at any point mid-sweep. Results stream through `on_cell` in
-/// completion order exactly like [`cluster_sched::run_sweep`]'s callback,
+/// completion order exactly like [`cluster_sched::run_sweep_fleet`]'s callback,
 /// and the returned outcomes are index-sorted, so artefacts rendered from
 /// either are byte-identical.
 ///
-/// Failure semantics mirror `run_sweep`: a cell whose simulation fails
+/// Failure semantics mirror `run_sweep_fleet`: a cell whose simulation fails
 /// (worker reported [`CellOutcome::Failed`]) is deterministic — never
 /// retried, sweep keeps running, lowest-index failure reported at the end.
 /// A worker death or stall is indeterminate — the cell is requeued until
@@ -394,7 +394,7 @@ pub fn serve(
                                 // A simulation failure is deterministic:
                                 // retrying on another worker would fail
                                 // identically, so it is terminal — exactly
-                                // run_sweep's semantics.
+                                // run_sweep_fleet's semantics.
                                 if failures.iter().any(|(c, ..)| c.index == index) {
                                     continue;
                                 }

@@ -13,7 +13,7 @@
 //!   stalled workers (bounded by a per-cell attempt cap), ingests batched
 //!   worker telemetry when it records any (a trace sink or live metrics),
 //!   and returns a [`DistRun`] whose outcomes are sorted by cell index —
-//!   so everything rendered from it is byte-identical to `run_sweep` at
+//!   so everything rendered from it is byte-identical to `run_sweep_fleet` at
 //!   any worker count or death schedule.
 //! * [`run_worker`] — the worker runtime. It handshakes, starts
 //!   heartbeating *before* model training (training takes seconds and must
@@ -29,7 +29,7 @@
 //!   when available, SIMPLEBENCH-style), serves the sweep, and reaps the
 //!   children.
 //!
-//! Failure semantics mirror `run_sweep`: a cell whose *simulation* fails is
+//! Failure semantics mirror `run_sweep_fleet`: a cell whose *simulation* fails is
 //! a deterministic error — it is never retried, the sweep keeps running,
 //! and the lowest-index failure surfaces at the end as
 //! [`DaemonError::Cell`]. A cell whose *worker* dies is indeterminate — it

@@ -46,8 +46,7 @@ struct TraceForwardSink {
 }
 
 impl TraceForwardSink {
-    /// Batch size for trace frames: a few KiB per frame, same order as the
-    /// old `BufferedSink` wrapper this sink replaces.
+    /// Batch size for trace frames: a few KiB per frame.
     const DEFAULT_CAPACITY: usize = 256;
 
     fn new(conn: Arc<Connection>) -> Self {
@@ -283,9 +282,8 @@ mod tests {
     use actor_core::config::ActorConfig;
     use actor_core::telemetry::MemorySink;
     use cluster_rpc::{duplex, server_handshake};
-    use cluster_sched::{quad_test_workload, SweepCell, SweepSpec, WorkloadModel};
+    use cluster_sched::{quad_test_workload, SweepCell, SweepSpec};
     use npb_workloads::BenchmarkId;
-    use xeon_sim::Machine;
 
     const IDS: [BenchmarkId; 4] =
         [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
@@ -293,11 +291,11 @@ mod tests {
     /// One fleet, trained once, for every hand-driven worker.
     fn fleet() -> Arc<FleetModel> {
         static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
-        Arc::clone(FLEET.get_or_init(|| {
-            let config = context(25).config;
-            let model = WorkloadModel::build(&Machine::xeon_qx6600(), &config, &IDS).unwrap();
-            Arc::new(FleetModel::single(model))
-        }))
+        Arc::clone(
+            FLEET.get_or_init(|| {
+                Arc::new(FleetModel::build(&context(25).config, &IDS, &[]).unwrap())
+            }),
+        )
     }
 
     fn context(heartbeat_ms: u64) -> SweepContext {

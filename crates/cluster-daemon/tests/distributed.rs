@@ -1,9 +1,9 @@
 //! Daemon + worker integration over in-memory duplexes: completion parity
-//! with `run_sweep`, reassignment on worker death and stall, terminal
+//! with `run_sweep_fleet`, reassignment on worker death and stall, terminal
 //! simulation failures, the no-worker timeout, and worker telemetry that
 //! crosses the wire only when the daemon records it.
 //!
-//! Every duplex worker gets the one prebuilt model via `run_worker_with` —
+//! Every duplex worker gets the one prebuilt fleet via `run_worker_with` —
 //! the process-level path (which re-trains per worker) is covered by the
 //! bench crate's tests, where the worker binary exists.
 
@@ -18,26 +18,18 @@ use cluster_daemon::{run_worker_with, serve, DaemonConfig, DaemonError, DistRun}
 use cluster_rpc::{
     client_handshake, duplex, request_metrics, CellOutcome, Connection, Message, SweepContext, Wire,
 };
-use cluster_sched::{
-    quad_test_workload, run_sweep, FleetModel, SweepSpec, WorkloadModel, POLICY_NAMES,
-};
+use cluster_sched::{quad_test_workload, run_sweep_fleet, FleetModel, SweepSpec, POLICY_NAMES};
 use crossbeam::channel::{unbounded, Sender};
 use npb_workloads::BenchmarkId;
-use xeon_sim::Machine;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> Arc<WorkloadModel> {
-    static MODEL: OnceLock<Arc<WorkloadModel>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        Arc::new(WorkloadModel::build(&Machine::xeon_qx6600(), &config, &IDS).unwrap())
-    }))
-}
-
 fn fleet() -> Arc<FleetModel> {
     static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
-    Arc::clone(FLEET.get_or_init(|| Arc::new(FleetModel::single(WorkloadModel::clone(&model())))))
+    Arc::clone(FLEET.get_or_init(|| {
+        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
+        Arc::new(FleetModel::build(&config, &IDS, &[]).unwrap())
+    }))
 }
 
 fn context() -> SweepContext {
@@ -75,9 +67,9 @@ fn spawn_worker(
 }
 
 #[test]
-fn duplex_workers_complete_the_grid_identically_to_run_sweep() {
+fn duplex_workers_complete_the_grid_identically_to_run_sweep_fleet() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
 
     let (conn_tx, conn_rx) = unbounded();
     let w1 = spawn_worker(&conn_tx, "dup-1");
@@ -105,7 +97,7 @@ fn duplex_workers_complete_the_grid_identically_to_run_sweep() {
 #[test]
 fn a_worker_dying_mid_cell_gets_its_cell_reassigned() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
 
     let (conn_tx, conn_rx) = unbounded();
     let (got_cell_tx, got_cell_rx) = unbounded();
@@ -153,7 +145,7 @@ fn a_worker_dying_mid_cell_gets_its_cell_reassigned() {
 #[test]
 fn a_stalled_worker_is_declared_dead_by_the_heartbeat_scan() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
 
     let (conn_tx, conn_rx) = unbounded();
     let (got_cell_tx, got_cell_rx) = unbounded();
@@ -231,7 +223,7 @@ fn simulation_failures_are_terminal_and_report_the_lowest_index() {
     let err = serve(&spec, &DaemonConfig::new(context()), conn_rx, None, |_, _, _| {}).unwrap_err();
     match err {
         DaemonError::Cell { cell, reason, attempts } => {
-            assert_eq!(cell.index, 0, "lowest-index failure wins, as in run_sweep");
+            assert_eq!(cell.index, 0, "lowest-index failure wins, as in run_sweep_fleet");
             assert!(reason.contains("rigged failure 0"), "{reason}");
             assert_eq!(attempts, 1, "simulation failures are never retried");
         }
@@ -505,7 +497,7 @@ fn workers_send_telemetry_only_to_a_daemon_that_records_it() {
     // is policy-dependent (the coordinated policy re-decides at each cap
     // redistribution), the result volume is not.
     let spec = SweepSpec { policies: POLICY_NAMES.map(String::from).to_vec(), ..spec() };
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
     // Train before serving, so neither run's byte count includes the
     // heartbeats of a first-time model build.
     fleet();

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// [`cluster_sched::workload_shape_by_name`]. A worker that trains from
 /// this context produces bit-identical decision tables to the daemon's own
 /// model, which is what keeps distributed artefacts byte-identical to
-/// in-process `run_sweep` output.
+/// in-process `run_sweep_fleet` output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepContext {
     /// Model-training configuration (drives the seeded corpus + ANN).
@@ -52,7 +52,7 @@ pub struct SweepContext {
 /// This is `Result<ClusterReport, …>` flattened into an owned enum so it
 /// derives the vendored serde traits (which have no `Result` impl) and so
 /// the failure arm records whether the cell *panicked* (the daemon treats
-/// a panic like an error, mirroring `run_sweep`'s catch-at-the-job-boundary
+/// a panic like an error, mirroring `run_sweep_fleet`'s catch-at-the-job-boundary
 /// semantics, rather than letting it kill the worker).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CellOutcome {

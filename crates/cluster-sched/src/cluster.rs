@@ -18,7 +18,6 @@
 //! rescheduled or killed per the spec's
 //! [`FaultPolicy`].
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -31,7 +30,6 @@ use crate::fleet::{FleetModel, MachineMix};
 use crate::job::{Job, JobOutcome, WorkloadSpec};
 use crate::node::Node;
 use crate::policy::{RunningSummary, SchedContext, SchedulerPolicy};
-use crate::profile::WorkloadModel;
 use crate::scenario::{fault_timeline, FaultPolicy, FaultSpec, FaultTimeline};
 
 /// Static description of a cluster run.
@@ -248,9 +246,8 @@ impl Hasher for GangKeyHasher {
 /// The simulated cluster.
 pub struct Cluster<'a> {
     spec: ClusterSpec,
-    /// One workload model per machine generation; borrowed for fleet runs,
-    /// owned (a single-generation wrapper) on the compatibility path.
-    fleet: Cow<'a, FleetModel>,
+    /// One workload model per machine generation.
+    fleet: &'a FleetModel,
     nodes: Vec<Node>,
     /// Machine-generation index of each node, resolved from the spec's mix.
     node_gen: Vec<u16>,
@@ -263,34 +260,10 @@ pub struct Cluster<'a> {
 }
 
 impl<'a> Cluster<'a> {
-    /// Builds a cluster from one workload model — the compatibility path
-    /// for homogeneous reference clusters. The spec's machine mix must be
-    /// uniform `qx6600` (the machine the model was trained on): anything
-    /// else needs a real fleet, so this fails loudly instead of silently
-    /// running every node as the reference Xeon (the historical bug this
-    /// guard retires). Use [`Cluster::new_fleet`] or [`simulate_fleet`]
-    /// for mixed-generation specs.
-    pub fn new(spec: ClusterSpec, model: &'a WorkloadModel) -> Result<Self, ClusterError> {
-        if spec.machines.generations() != ["qx6600"] {
-            return Err(ClusterError::InvalidSpec {
-                reason: format!(
-                    "spec machine mix {:?} needs per-generation models; build a FleetModel \
-                     covering the mix and use Cluster::new_fleet / simulate_fleet",
-                    spec.machines.name
-                ),
-            });
-        }
-        Self::build(spec, Cow::Owned(FleetModel::single(model.clone())))
-    }
-
     /// Builds a cluster against a fleet of per-generation models. Every
     /// generation the spec's machine mix names must be present in the
     /// fleet; a missing one is a loud [`ClusterError::InvalidSpec`].
-    pub fn new_fleet(spec: ClusterSpec, fleet: &'a FleetModel) -> Result<Self, ClusterError> {
-        Self::build(spec, Cow::Borrowed(fleet))
-    }
-
-    fn build(spec: ClusterSpec, fleet: Cow<'a, FleetModel>) -> Result<Self, ClusterError> {
+    pub fn new(spec: ClusterSpec, fleet: &'a FleetModel) -> Result<Self, ClusterError> {
         spec.validate()?;
         let node_gen = fleet.node_gens(&spec.machines, spec.nodes)?;
         let timeline = fault_timeline(&spec.faults, spec.nodes, spec.seed);
@@ -326,19 +299,10 @@ impl<'a> Cluster<'a> {
         if let Some(sink) = &self.telemetry {
             policy.set_telemetry(sink.clone());
         }
-        let fleet: &FleetModel = &self.fleet;
-        // Homogeneous clusters (whatever the generation) take the exact
-        // pre-fleet scheduling paths against their own generation's model;
-        // only genuinely mixed clusters pay for the fleet-aware paths.
-        let hetero = self.node_gen.windows(2).any(|w| w[0] != w[1]);
-        let common_gen =
-            if hetero { 0 } else { self.node_gen.first().copied().unwrap_or(0) as usize };
-        let (ctx_model, idle_node_w) = {
-            let g = fleet.gen(common_gen);
-            (&g.model, g.idle_w)
-        };
-        let ctx_fleet = if hetero { Some(fleet) } else { None };
-        let ctx_node_gen: &[u16] = if hetero { &self.node_gen } else { &[] };
+        let fleet = self.fleet;
+        // Pooled approximations price against the lowest-index generation
+        // present: on a single-generation cluster that is every node's own.
+        let pool_gen = self.node_gen.iter().copied().min().unwrap_or(0) as usize;
         // Jobs are always priced against the reference generation, so the
         // job stream of a (shape, seed) pair is identical across mixes.
         let jobs = self
@@ -588,14 +552,13 @@ impl<'a> Cluster<'a> {
                     now,
                     queue: &queue,
                     idle_nodes: &idle_nodes,
-                    model: ctx_model,
                     budget_w: self.spec.power_budget_w,
                     draw_w: self.draw_w(),
-                    node_idle_w: idle_node_w,
                     node_draw_w: &node_draws,
                     running: &running,
-                    fleet: ctx_fleet,
-                    node_gen: ctx_node_gen,
+                    fleet,
+                    node_gen: &self.node_gen,
+                    pool_gen,
                 };
                 let assignments = policy.assign(&ctx);
                 // Apply in descending queue index so removals stay valid.
@@ -607,14 +570,11 @@ impl<'a> Cluster<'a> {
                     // draw), and every gang member must actually be up and
                     // idle.
                     let k = a.nodes.len();
-                    let extra: f64 = if hetero {
-                        a.nodes
-                            .iter()
-                            .map(|&n| a.plan.peak_power_w - self.nodes[n].idle_power_w())
-                            .sum()
-                    } else {
-                        (a.plan.peak_power_w - idle_node_w) * k as f64
-                    };
+                    let extra: f64 = a
+                        .nodes
+                        .iter()
+                        .map(|&n| a.plan.peak_power_w - self.nodes[n].idle_power_w())
+                        .sum();
                     let members_free = a.nodes.iter().all(|&n| self.nodes[n].is_available());
                     let width_ok = k == queue[a.queue_idx].nodes;
                     if !members_free
@@ -696,43 +656,18 @@ impl<'a> Cluster<'a> {
     }
 }
 
-/// Convenience: build a cluster and run one policy (homogeneous reference
-/// clusters; see [`simulate_fleet`] for mixed-generation specs).
-pub fn simulate(
-    spec: &ClusterSpec,
-    model: &WorkloadModel,
-    policy: &mut dyn SchedulerPolicy,
-) -> Result<ClusterReport, ClusterError> {
-    simulate_traced(spec, model, policy, None)
-}
-
-/// [`simulate`] with an optional telemetry sink: `Some` traces every job
+/// Convenience: build a cluster against `fleet` and run one policy, with an
+/// optional telemetry sink: `Some` traces every job
 /// arrival/start/completion, node crash/recovery, SLO violation (and,
 /// through the policy, every controller decision and budget
-/// redistribution); `None` is exactly [`simulate`].
-pub fn simulate_traced(
-    spec: &ClusterSpec,
-    model: &WorkloadModel,
-    policy: &mut dyn SchedulerPolicy,
-    telemetry: Option<SharedSink>,
-) -> Result<ClusterReport, ClusterError> {
-    let cluster = Cluster::new(spec.clone(), model)?;
-    match telemetry {
-        Some(sink) => cluster.with_telemetry(sink),
-        None => cluster,
-    }
-    .run(policy)
-}
-
-/// [`simulate_traced`] against a fleet of per-generation models — required
-/// whenever the spec's machine mix is not the uniform reference.
+/// redistribution).
 pub fn simulate_fleet(
     spec: &ClusterSpec,
     fleet: &FleetModel,
     policy: &mut dyn SchedulerPolicy,
     telemetry: Option<SharedSink>,
 ) -> Result<ClusterReport, ClusterError> {
-    let cluster = Cluster::new_fleet(spec.clone(), fleet)?;
+    let cluster = Cluster::new(spec.clone(), fleet)?;
     match telemetry {
         Some(sink) => cluster.with_telemetry(sink),
         None => cluster,

@@ -40,8 +40,9 @@ use npb_workloads::BenchmarkId;
 use phase_rt::FreqStep;
 use xeon_sim::Configuration;
 
+use crate::fleet::MAX_GENS;
 use crate::policy::{decide_choices_via_plane, Assignment, SchedContext, SchedulerPolicy};
-use crate::profile::{ExecutionPlan, WorkloadModel};
+use crate::profile::ExecutionPlan;
 
 /// Slack tolerance for the coordinator's internal floating-point budget
 /// arithmetic (same as `assign_in_order`'s headroom check; the cluster's
@@ -60,8 +61,7 @@ pub struct JobCap {
     pub queue_idx: usize,
     /// The job's gang width (nodes it occupies).
     pub width: usize,
-    /// Machine generation the gang is placed on (index into the fleet; 0 on
-    /// homogeneous clusters).
+    /// Machine generation the gang is placed on (index into the fleet).
     pub gen: usize,
     /// Idle floor of that generation's nodes (W) — what each occupied node
     /// stops drawing, and the floor [`validate_caps`] enforces.
@@ -175,20 +175,6 @@ impl<C: PowerPerfController + std::fmt::Debug> std::fmt::Debug for CapCoordinato
     }
 }
 
-impl CapCoordinator<DecisionTableController> {
-    /// The standard coordinator: the model's ANN decisions drive every
-    /// per-phase DCT + DVFS choice.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self::new(model.decision_table())
-    }
-
-    /// The standard coordinator over a heterogeneous fleet: the union
-    /// decision table across every generation's model.
-    pub fn from_fleet(fleet: &crate::fleet::FleetModel) -> Self {
-        Self::new(fleet.decision_table())
-    }
-}
-
 impl<C: PowerPerfController> CapCoordinator<C> {
     /// Wraps an arbitrary controller.
     pub fn new(controller: C) -> Self {
@@ -295,41 +281,27 @@ impl<C: PowerPerfController> CapCoordinator<C> {
         // queue prefix whose cumulative width fits the idle nodes. Each
         // startable job's Pareto menu — the admitted cap prefix, folded to
         // rising peak draw with strictly falling execution time — lands in
-        // the shared point arena. On a heterogeneous fleet gangs stay within
-        // one generation; each job goes to the generation with enough free
-        // nodes whose nominal four-core run is fastest (ties to the lower
-        // index — deterministic).
-        let hetero = ctx.is_heterogeneous();
-        let mut free = ctx.idle_nodes.len();
-        let mut free_by_gen: Vec<usize> = vec![0; if hetero { ctx.gen_count() } else { 0 }];
-        if hetero {
-            for &n in ctx.idle_nodes {
-                free_by_gen[ctx.gen_of(n)] += 1;
-            }
+        // the shared point arena. Gangs stay within one generation; each job
+        // goes to the generation with enough free nodes whose nominal
+        // four-core run is fastest (ties to the lower index — deterministic).
+        let mut free_by_gen = [0usize; MAX_GENS];
+        for &n in ctx.idle_nodes {
+            free_by_gen[ctx.gen_of(n)] += 1;
         }
         let mut startable_n = 0usize;
         for (queue_idx, job) in ctx.queue.iter().enumerate() {
-            let gen = if hetero {
-                let mut best: Option<(usize, f64)> = None;
-                for (g, &gen_free) in free_by_gen.iter().enumerate() {
-                    if gen_free < job.nodes {
-                        continue;
-                    }
-                    let t = ctx.gen_model(g).four_core_time_s(job.benchmark);
-                    if best.is_none_or(|(_, bt)| t < bt) {
-                        best = Some((g, t));
-                    }
+            let mut best: Option<(usize, f64)> = None;
+            for (g, &gen_free) in free_by_gen.iter().enumerate() {
+                if gen_free < job.nodes {
+                    continue;
                 }
-                let Some((g, _)) = best else { break };
-                free_by_gen[g] -= job.nodes;
-                g
-            } else {
-                if job.nodes > free {
-                    break;
+                let t = ctx.gen_model(g).four_core_time_s(job.benchmark);
+                if best.is_none_or(|(_, bt)| t < bt) {
+                    best = Some((g, t));
                 }
-                free -= job.nodes;
-                ctx.common_gen()
-            };
+            }
+            let Some((gen, _)) = best else { break };
+            free_by_gen[gen] -= job.nodes;
             startable_n += 1;
             let idle_w = ctx.gen_idle_w(gen);
             let max_cap_w = headroom_w / job.nodes as f64 + idle_w;
@@ -481,18 +453,6 @@ pub struct CoordinatedPowerPolicy<C: PowerPerfController = DecisionTableControll
     coordinator: CapCoordinator<C>,
 }
 
-impl CoordinatedPowerPolicy<DecisionTableController> {
-    /// The standard coordinated policy over the model's ANN decisions.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self { coordinator: CapCoordinator::from_model(model) }
-    }
-
-    /// The standard coordinated policy over a heterogeneous fleet.
-    pub fn from_fleet(fleet: &crate::fleet::FleetModel) -> Self {
-        Self { coordinator: CapCoordinator::from_fleet(fleet) }
-    }
-}
-
 impl<C: PowerPerfController> CoordinatedPowerPolicy<C> {
     /// Wraps an arbitrary controller.
     pub fn new(controller: C) -> Self {
@@ -514,12 +474,8 @@ impl<C: PowerPerfController> SchedulerPolicy for CoordinatedPowerPolicy<C> {
         match self.coordinator.redistribute(ctx) {
             Ok(caps) => {
                 // One free list per generation, so each cap's gang lands on
-                // the generation its menu was priced for. Homogeneous
-                // clusters have a single list — the original behaviour.
-                let mut free_by_gen: Vec<Vec<usize>> = vec![Vec::new(); ctx.gen_count()];
-                for &n in ctx.idle_nodes {
-                    free_by_gen[ctx.gen_of(n)].push(n);
-                }
+                // the generation its menu was priced for.
+                let mut free_by_gen = ctx.free_by_gen();
                 caps.into_iter()
                     .map(|cap| Assignment {
                         queue_idx: cap.queue_idx,
@@ -548,21 +504,17 @@ impl<C: PowerPerfController> SchedulerPolicy for CoordinatedPowerPolicy<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetModel;
     use actor_core::ActorConfig;
     use npb_workloads::BenchmarkId;
-    use xeon_sim::{Configuration, Machine};
+    use xeon_sim::Configuration;
 
     const IDLE_W: f64 = 104.0;
 
-    fn model() -> WorkloadModel {
-        let machine = Machine::xeon_qx6600();
+    fn fleet() -> FleetModel {
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        WorkloadModel::build(
-            &machine,
-            &config,
-            &[BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt],
-        )
-        .unwrap()
+        let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
+        FleetModel::build(&config, &ids, &[]).unwrap()
     }
 
     fn job(id: usize, benchmark: BenchmarkId, nodes: usize) -> Job {
@@ -578,7 +530,7 @@ mod tests {
     }
 
     fn ctx<'a>(
-        model: &'a WorkloadModel,
+        fleet: &'a FleetModel,
         queue: &'a [Job],
         idle_nodes: &'a [usize],
         budget_w: f64,
@@ -588,20 +540,19 @@ mod tests {
             now: 0.0,
             queue,
             idle_nodes,
-            model,
             budget_w,
             draw_w: node_draw_w.iter().sum(),
-            node_idle_w: IDLE_W,
             node_draw_w,
             running: &[],
-            fleet: None,
-            node_gen: &[],
+            fleet,
+            node_gen: &[0; 3],
+            pool_gen: 0,
         }
     }
 
     #[test]
     fn redistribution_respects_budget_and_idle_floor() {
-        let model = model();
+        let fleet = fleet();
         let queue = vec![
             job(0, BenchmarkId::Cg, 1),
             job(1, BenchmarkId::Is, 1),
@@ -611,8 +562,8 @@ mod tests {
         let draws = [IDLE_W; 3];
         // A budget tight enough that not every job can run at full tilt.
         let budget = 3.0 * IDLE_W + 110.0;
-        let mut coordinator = CapCoordinator::from_model(&model);
-        let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, budget, &draws)).unwrap();
+        let mut coordinator = CapCoordinator::new(fleet.decision_table());
+        let caps = coordinator.redistribute(&ctx(&fleet, &queue, &idle, budget, &draws)).unwrap();
         assert!(!caps.is_empty(), "a feasible budget must start at least the head job");
         let headroom = budget - 3.0 * IDLE_W;
         let total: f64 = caps.iter().map(|c| (c.node_cap_w - IDLE_W) * c.width as f64).sum();
@@ -625,18 +576,18 @@ mod tests {
 
     #[test]
     fn memory_bound_slack_funds_compute_bound_boost() {
-        let model = model();
+        let fleet = fleet();
         // IS is memory-bound (tolerates downclocking), BT compute-bound.
         let queue = vec![job(0, BenchmarkId::Is, 1), job(1, BenchmarkId::Bt, 1)];
         let idle = [0usize, 1];
         let draws = [IDLE_W; 2];
-        let is_four = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
-        let bt_four = model.plan_fixed(&queue[1], Configuration::Four).peak_power_w;
+        let is_four = fleet.reference().plan_fixed(&queue[0], Configuration::Four).peak_power_w;
+        let bt_four = fleet.reference().plan_fixed(&queue[1], Configuration::Four).peak_power_w;
         // Enough headroom for ~1.2 four-core jobs: an equal split would
         // throttle both; the coordinator should tilt watts towards BT.
         let budget = 2.0 * IDLE_W + (is_four - IDLE_W) * 0.3 + (bt_four - IDLE_W) * 0.9;
-        let mut coordinator = CapCoordinator::from_model(&model);
-        let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, budget, &draws)).unwrap();
+        let mut coordinator = CapCoordinator::new(fleet.decision_table());
+        let caps = coordinator.redistribute(&ctx(&fleet, &queue, &idle, budget, &draws)).unwrap();
         assert_eq!(caps.len(), 2, "both jobs must start");
         let is_cap = &caps[0];
         let bt_cap = &caps[1];
@@ -652,13 +603,13 @@ mod tests {
 
     #[test]
     fn strict_queue_discipline_is_preserved() {
-        let model = model();
+        let fleet = fleet();
         // The head wants 4 nodes but only 2 are idle: nothing may start.
         let queue = vec![job(0, BenchmarkId::Cg, 4), job(1, BenchmarkId::Is, 1)];
         let idle = [0usize, 1];
         let draws = [IDLE_W; 2];
-        let mut coordinator = CapCoordinator::from_model(&model);
-        let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, 10_000.0, &draws)).unwrap();
+        let mut coordinator = CapCoordinator::new(fleet.decision_table());
+        let caps = coordinator.redistribute(&ctx(&fleet, &queue, &idle, 10_000.0, &draws)).unwrap();
         assert!(caps.is_empty(), "a node-blocked head blocks the redistribution");
     }
 

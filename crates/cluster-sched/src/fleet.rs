@@ -34,6 +34,10 @@ use crate::profile::WorkloadModel;
 /// per-benchmark stride × benchmark count of one model (≤ 64 × 16).
 pub const GEN_PHASE_ID_STRIDE: u32 = 4096;
 
+/// Most generations a fleet holds: [`FleetModel::build`] takes each from the
+/// registry at most once, so per-generation scratch can be a fixed array.
+pub(crate) const MAX_GENS: usize = MACHINE_GEN_NAMES.len();
+
 /// Names of the built-in machine mixes accepted by the sweep engine's
 /// `machines=` axis (see [`mix_by_name`]).
 pub const MACHINE_MIX_NAMES: [&str; 4] = ["uniform", "mixed", "legacy", "modern"];
@@ -81,11 +85,6 @@ impl MachineMix {
     /// The generation name of one node.
     pub fn gen_for_node(&self, node: usize) -> &str {
         &self.pattern[node % self.pattern.len()]
-    }
-
-    /// Whether every node is the same generation.
-    pub fn is_uniform(&self) -> bool {
-        self.pattern.windows(2).all(|w| w[0] == w[1])
     }
 
     /// The distinct generation names this mix uses, in first-appearance
@@ -240,22 +239,6 @@ impl FleetModel {
         Ok(Self { gens })
     }
 
-    /// Wraps one already-built model as a single-generation fleet under the
-    /// reference name `qx6600` — the compatibility path for homogeneous
-    /// callers that built their [`WorkloadModel`] directly on the paper's
-    /// machine.
-    pub fn single(model: WorkloadModel) -> Self {
-        let machine = Machine::xeon_qx6600();
-        Self {
-            gens: vec![FleetGen {
-                name: "qx6600".into(),
-                idle_w: machine.params().power.system_idle_w,
-                machine,
-                model,
-            }],
-        }
-    }
-
     /// The generations, reference first.
     pub fn gens(&self) -> &[FleetGen] {
         &self.gens
@@ -268,7 +251,7 @@ impl FleetModel {
     }
 
     /// The reference generation's model (the paper's `qx6600`): what
-    /// workload generation and homogeneous callers price against.
+    /// workload generation prices against.
     pub fn reference(&self) -> &WorkloadModel {
         &self.gens[0].model
     }
@@ -319,7 +302,6 @@ mod tests {
         }
         assert!(mix_by_name("beowulf").is_none());
         let mixed = mix_by_name("mixed").unwrap();
-        assert!(!mixed.is_uniform());
         assert_eq!(mixed.gen_for_node(0), "qx6600");
         assert_eq!(mixed.gen_for_node(1), "e5450");
         assert_eq!(mixed.gen_for_node(2), "qx6600");
@@ -331,8 +313,7 @@ mod tests {
         // pool wide enough for the workload's 4-node gangs.
         let reference = (0..8).filter(|&n| mixed.gen_for_node(n) == "qx6600").count();
         assert_eq!(reference, 4);
-        assert!(mix_by_name("uniform").unwrap().is_uniform());
-        assert!(mix_by_name("modern").unwrap().is_uniform());
+        assert_eq!(mix_by_name("modern").unwrap().generations(), vec!["e5450"]);
 
         let bad = MachineMix { name: "bad".into(), pattern: vec!["486dx".into()] };
         let err = bad.validate().unwrap_err();

@@ -12,15 +12,17 @@
 //!
 //! The pieces:
 //!
-//! * [`node::Node`] — one cluster node: a [`xeon_sim::Machine`] plus per-node
-//!   [`actor_core::ActorRuntime`] state (the running job's phase → binding
-//!   plan, as a live `phase_rt` team would consult it) and energy accounting.
+//! * [`node::Node`] — one cluster node: a [`xeon_sim::Machine`], the running
+//!   job share, health state and energy accounting.
 //! * [`job`] — [`job::Job`], [`job::JobOutcome`] and seeded workload
 //!   generation from [`npb_workloads::suite`] (Poisson arrivals, priorities,
 //!   deadlines, per-job problem scaling).
 //! * [`profile::WorkloadModel`] — the scheduler's oracle, built once from
 //!   ACTOR's leave-one-out evaluation pipeline: per phase, the ANN throttle
 //!   decision plus machine-model time/power/energy for every configuration.
+//!   A [`fleet::FleetModel`] holds one per machine generation; it is the
+//!   model every simulation, policy and sweep takes, a uniform cluster
+//!   being a one-generation fleet.
 //! * [`policy`] — the [`policy::SchedulerPolicy`] trait and three built-ins:
 //!   strict FCFS, EASY backfill, and the power-aware policy — the latter
 //!   generic over any [`actor_core::PowerPerfController`], so the ANN
@@ -32,7 +34,7 @@
 //! * [`sweep`] — the parallel sweep engine: a [`sweep::SweepSpec`] grid
 //!   (nodes × budgets × policies × seeds, plus explicit cells) expanded
 //!   into independent cells and executed concurrently on a
-//!   [`phase_rt::ThreadPool`] against one `Arc`-shared workload model,
+//!   [`phase_rt::ThreadPool`] against one `Arc`-shared fleet model,
 //!   with deterministic cell-ordered results.
 
 pub mod cluster;
@@ -47,10 +49,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod tables;
 
-pub use cluster::{
-    budget_from_fraction, simulate, simulate_fleet, simulate_traced, Cluster, ClusterReport,
-    ClusterSpec,
-};
+pub use cluster::{budget_from_fraction, simulate_fleet, Cluster, ClusterReport, ClusterSpec};
 pub use coordinator::{validate_caps, CapCoordinator, CoordinatedPowerPolicy, JobCap};
 pub use error::{ClusterError, SchedError};
 pub use fleet::{
@@ -58,10 +57,10 @@ pub use fleet::{
     MACHINE_MIX_NAMES,
 };
 pub use job::{ArrivalProcess, Job, JobOutcome, TenantSpec, WorkloadSpec};
-pub use node::{binding_for, Node};
+pub use node::Node;
 pub use policy::{
-    policy_by_name, policy_by_name_fleet, Assignment, BackfillPolicy, FcfsPolicy, PowerAwarePolicy,
-    SchedContext, SchedulerPolicy, POLICY_NAMES,
+    policy_by_name_fleet, Assignment, BackfillPolicy, FcfsPolicy, PowerAwarePolicy, SchedContext,
+    SchedulerPolicy, POLICY_NAMES,
 };
 pub use profile::{ExecutionPlan, WorkloadModel};
 pub use scenario::{
@@ -69,8 +68,8 @@ pub use scenario::{
     FaultTimeline, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
 pub use sweep::{
-    default_workload, execute_cell, light_workload, quad_test_workload, run_sweep, run_sweep_fleet,
-    run_sweep_traced, workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint,
-    SweepRun, SweepSpec, WORKLOAD_SHAPE_NAMES,
+    default_workload, execute_cell, light_workload, quad_test_workload, run_sweep_fleet,
+    workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint, SweepRun,
+    SweepSpec, WORKLOAD_SHAPE_NAMES,
 };
 pub use tables::{cluster_summary_headers, cluster_summary_row, cluster_summary_table, job_table};

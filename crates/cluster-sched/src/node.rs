@@ -1,12 +1,10 @@
-//! A cluster node: one machine plus its per-node ACTOR runtime state.
+//! A cluster node: one machine plus the job share it runs.
 //!
-//! Each [`Node`] owns a [`xeon_sim::Machine`] (the hardware model) and an
-//! [`actor_core::ActorRuntime`] in fixed-plan mode: when the cluster
-//! scheduler starts a job, the per-phase configuration choices are installed
-//! as a phase → binding plan, exactly what a live `phase_rt::Team` on that
-//! node would consult before each parallel region. The node also does the
-//! energy bookkeeping: idle intervals are charged at the machine's idle
-//! power, busy intervals at the job plan's energy.
+//! Each [`Node`] owns a [`xeon_sim::Machine`] (the hardware model) and the
+//! [`RunningJob`] it executes, whose plan carries the per-phase
+//! configuration choices. The node also does the energy bookkeeping: idle
+//! intervals are charged at the machine's idle power, busy intervals at the
+//! job plan's energy.
 //!
 //! Multi-node jobs are gang-scheduled: every member node receives the same
 //! plan (SPMD), and the cluster completes all members at the job's finish
@@ -18,11 +16,7 @@
 //! [`Node::slowdown`]× longer than planned. Failure and recovery times come
 //! from the seeded [`crate::scenario::FaultTimeline`].
 
-use std::collections::HashMap;
-
-use actor_core::{ActorRuntime, ThrottleMode};
-use phase_rt::{Binding, MachineShape, PhaseId};
-use xeon_sim::{Configuration, Machine};
+use xeon_sim::Machine;
 
 use crate::job::Job;
 use crate::profile::ExecutionPlan;
@@ -46,7 +40,6 @@ pub struct Node {
     /// Stable node id.
     pub id: usize,
     machine: Machine,
-    runtime: ActorRuntime,
     running: Option<RunningJob>,
     /// Total energy charged to this node so far (J), idle + busy.
     energy_j: f64,
@@ -58,19 +51,12 @@ pub struct Node {
     slowdown: f64,
 }
 
-/// Maps a paper configuration onto a live-runtime binding for a node-local
-/// `phase_rt` team (the canonical mapping shared with the controller layer).
-pub fn binding_for(config: Configuration, shape: &MachineShape) -> Binding {
-    actor_core::controller::binding_for(config, shape)
-}
-
 impl Node {
     /// Creates a node around a machine model.
     pub fn new(id: usize, machine: Machine) -> Self {
         Self {
             id,
             machine,
-            runtime: ActorRuntime::new(ThrottleMode::Fixed { plan: HashMap::new() }),
             running: None,
             energy_j: 0.0,
             accounted_to_s: 0.0,
@@ -104,12 +90,6 @@ impl Node {
     /// The machine model.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The node's live-runtime view of the current job's plan (phase →
-    /// binding), as a `phase_rt` listener would consult it.
-    pub fn runtime(&self) -> &ActorRuntime {
-        &self.runtime
     }
 
     /// Idle power of this node (W).
@@ -163,14 +143,6 @@ impl Node {
         assert!(self.is_idle(), "node {} is busy", self.id);
         assert!(!self.failed, "node {} is failed", self.id);
         self.account_until(now);
-        let shape = MachineShape::quad_core();
-        let bindings: HashMap<PhaseId, Binding> = plan
-            .decisions
-            .iter()
-            .enumerate()
-            .map(|(i, (_, config))| (PhaseId::new(i as u32), binding_for(*config, &shape)))
-            .collect();
-        self.runtime = ActorRuntime::new(ThrottleMode::Fixed { plan: bindings });
         self.running = Some(RunningJob { job, start_s: now, finish_s, plan });
         finish_s
     }
@@ -186,7 +158,6 @@ impl Node {
         // a deliberate work-conserving approximation.
         self.energy_j += run.plan.energy_j;
         self.accounted_to_s = now;
-        self.runtime = ActorRuntime::new(ThrottleMode::Fixed { plan: HashMap::new() });
         run
     }
 
@@ -200,7 +171,6 @@ impl Node {
             let frac = if span > 0.0 { ((now - run.start_s) / span).clamp(0.0, 1.0) } else { 1.0 };
             self.energy_j += run.plan.energy_j * frac;
             self.accounted_to_s = self.accounted_to_s.max(now);
-            self.runtime = ActorRuntime::new(ThrottleMode::Fixed { plan: HashMap::new() });
         }
         aborted
     }
@@ -232,6 +202,7 @@ impl Node {
 mod tests {
     use super::*;
     use npb_workloads::BenchmarkId;
+    use xeon_sim::Configuration;
 
     fn plan() -> ExecutionPlan {
         ExecutionPlan {
@@ -280,20 +251,6 @@ mod tests {
         // Energy: 5 s idle + the job's 1500 J, then 5 more idle seconds.
         let total = node.energy_until(20.0);
         assert!((total - (10.0 * idle_w + 1500.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn runtime_exposes_the_installed_plan() {
-        let mut node = Node::new(3, Machine::xeon_qx6600());
-        node.assign(job(), plan(), 0.0, 10.0);
-        // Phase 0 was planned as 2b = two threads spread across dies.
-        let binding = node.runtime().decision_for(PhaseId::new(0)).unwrap();
-        assert_eq!(binding.num_threads(), 2);
-        let binding = node.runtime().decision_for(PhaseId::new(1)).unwrap();
-        assert_eq!(binding.num_threads(), 4);
-        assert!(node.runtime().decision_for(PhaseId::new(9)).is_none());
-        node.complete(10.0);
-        assert!(node.runtime().decision_for(PhaseId::new(0)).is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use xeon_sim::Configuration;
 
 use crate::coordinator::CoordinatedPowerPolicy;
 use crate::error::SchedError;
-use crate::fleet::FleetModel;
+use crate::fleet::{FleetModel, MAX_GENS};
 use crate::job::Job;
 use crate::profile::{ExecutionPlan, WorkloadModel};
 
@@ -52,8 +52,6 @@ pub struct SchedContext<'a> {
     pub queue: &'a [Job],
     /// Ids of idle nodes, ascending.
     pub idle_nodes: &'a [usize],
-    /// The workload model (costs + predictions).
-    pub model: &'a WorkloadModel,
     /// Cluster power budget (W).
     pub budget_w: f64,
     /// Current cluster draw (W): running peaks + idle floors.
@@ -63,19 +61,17 @@ pub struct SchedContext<'a> {
     /// Sums to `draw_w`; may be empty in hand-built test contexts, in which
     /// case `draw_w` is authoritative.
     pub node_draw_w: &'a [f64],
-    /// Idle power of one node (W) — what an idle node already contributes to
-    /// `draw_w`. On a heterogeneous fleet this is the *reference*
-    /// generation's floor, used only for pooled approximations
-    /// (reservations); exact per-node floors come from [`Self::gen_idle_w`].
-    pub node_idle_w: f64,
     /// Currently running jobs, ascending by finish time.
     pub running: &'a [RunningSummary],
-    /// The fleet, when the cluster may be heterogeneous. `None` means
-    /// single-generation: `model` describes every node.
-    pub fleet: Option<&'a FleetModel>,
+    /// One workload model (costs + predictions) per machine generation.
+    pub fleet: &'a FleetModel,
     /// Machine-generation index of each node (into the fleet's generations),
-    /// indexed by node id. Empty means every node is `model`'s machine.
+    /// indexed by node id.
     pub node_gen: &'a [u16],
+    /// The generation pooled approximations price against: the
+    /// lowest-index generation present in the cluster. Backfill prices the
+    /// blocked head's reservation on it, over the pooled node count.
+    pub pool_gen: usize,
 }
 
 impl<'a> SchedContext<'a> {
@@ -84,52 +80,32 @@ impl<'a> SchedContext<'a> {
         self.budget_w - self.draw_w
     }
 
-    /// The per-node power cap a k-node plan must satisfy: each occupied node
-    /// stops drawing its idle floor, so k idle floors come back into the
-    /// headroom.
-    pub fn node_power_cap_w(&self, k: usize) -> f64 {
-        self.headroom_w() / k as f64 + self.node_idle_w
-    }
-
-    /// Machine-generation index of one node (0 when no fleet is attached).
+    /// Machine-generation index of one node.
     pub fn gen_of(&self, node: usize) -> usize {
-        self.node_gen.get(node).map_or(0, |g| *g as usize)
+        self.node_gen[node] as usize
     }
 
-    /// Number of machine generations in play.
-    pub fn gen_count(&self) -> usize {
-        self.fleet.map_or(1, |f| f.gens().len())
-    }
-
-    /// The workload model of one generation — [`Self::model`] when no fleet
-    /// is attached.
+    /// The workload model of one generation.
     pub fn gen_model(&self, gen: usize) -> &'a WorkloadModel {
-        match self.fleet {
-            Some(f) => &f.gen(gen).model,
-            None => self.model,
-        }
+        &self.fleet.gen(gen).model
     }
 
     /// The idle floor of one generation's nodes (W).
     pub fn gen_idle_w(&self, gen: usize) -> f64 {
-        match self.fleet {
-            Some(f) => f.gen(gen).idle_w,
-            None => self.node_idle_w,
-        }
+        self.fleet.gen(gen).idle_w
     }
 
-    /// Whether the nodes span more than one machine generation. Policies use
-    /// this to keep the homogeneous fast path allocation- and
-    /// byte-identical to the pre-fleet behaviour.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.node_gen.windows(2).any(|w| w[0] != w[1])
-    }
-
-    /// The generation shared by every node on a homogeneous cluster (0 when
-    /// no per-node generations are attached).
-    pub fn common_gen(&self) -> usize {
-        debug_assert!(!self.is_heterogeneous());
-        self.node_gen.first().map_or(0, |g| *g as usize)
+    /// The idle nodes split by machine generation, each list ascending:
+    /// the free lists gangs are drained from. Each list is allocated once
+    /// at its final size, so a single-generation cluster pays one
+    /// allocation per pass.
+    pub(crate) fn free_by_gen(&self) -> [Vec<usize>; MAX_GENS] {
+        std::array::from_fn(|gen| {
+            let of_gen = |n: &&usize| self.gen_of(**n) == gen;
+            let mut free = Vec::with_capacity(self.idle_nodes.iter().filter(of_gen).count());
+            free.extend(self.idle_nodes.iter().filter(of_gen));
+            free
+        })
     }
 }
 
@@ -164,46 +140,27 @@ pub trait SchedulerPolicy {
     }
 }
 
-/// Every name [`policy_by_name`] accepts.
+/// Every name [`policy_by_name_fleet`] accepts.
 pub const POLICY_NAMES: [&str; 5] =
     ["fcfs", "backfill", "power-aware", "power-aware-dvfs", "power-aware-coordinated"];
 
-/// Builds the policy named `name` (see [`POLICY_NAMES`]). The workload model
-/// supplies the decision table behind the power-aware policy's default
-/// controller. Unknown names report the valid ones:
+/// Builds the policy named `name` (see [`POLICY_NAMES`]). The controller
+/// behind the power-aware policies is the fleet's *union* decision table
+/// across every generation's model (sound because each generation's phase
+/// ids live in their own namespace — see
+/// [`crate::fleet::GEN_PHASE_ID_STRIDE`]). Unknown names report the valid
+/// ones:
 ///
 /// ```
-/// # use cluster_sched::policy_by_name;
-/// # use cluster_sched::WorkloadModel;
+/// # use cluster_sched::{policy_by_name_fleet, FleetModel};
 /// # use actor_core::ActorConfig;
 /// # use npb_workloads::BenchmarkId;
-/// # use xeon_sim::Machine;
-/// # let machine = Machine::xeon_qx6600();
 /// # let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
 /// # let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
-/// # let model = WorkloadModel::build(&machine, &config, &ids).unwrap();
-/// let err = policy_by_name("lottery", &model).err().expect("unknown policy");
+/// # let fleet = FleetModel::build(&config, &ids, &[]).unwrap();
+/// let err = policy_by_name_fleet("lottery", &fleet).err().expect("unknown policy");
 /// assert!(err.to_string().contains("fcfs, backfill, power-aware"));
 /// ```
-pub fn policy_by_name(
-    name: &str,
-    model: &WorkloadModel,
-) -> Result<Box<dyn SchedulerPolicy>, SchedError> {
-    match name {
-        "fcfs" => Ok(Box::new(FcfsPolicy)),
-        "backfill" => Ok(Box::new(BackfillPolicy)),
-        "power-aware" => Ok(Box::new(PowerAwarePolicy::from_model(model))),
-        "power-aware-dvfs" => Ok(Box::new(PowerAwarePolicy::from_model(model).with_dvfs())),
-        "power-aware-coordinated" => Ok(Box::new(CoordinatedPowerPolicy::from_model(model))),
-        _ => Err(SchedError::UnknownPolicy { requested: name.to_string() }),
-    }
-}
-
-/// [`policy_by_name`] over a heterogeneous fleet: the controller behind the
-/// power-aware policies is the *union* decision table across every
-/// generation's model (sound because each generation's phase ids live in
-/// their own namespace — see [`crate::fleet::GEN_PHASE_ID_STRIDE`]). On a
-/// single-generation fleet this is exactly [`policy_by_name`].
 pub fn policy_by_name_fleet(
     name: &str,
     fleet: &FleetModel,
@@ -226,39 +183,16 @@ pub fn policy_by_name_fleet(
 /// the queue, planning each job via `plan_job(job, node_cap, gen)`; stops at
 /// the first job that cannot start (strict queue discipline).
 ///
-/// On a homogeneous cluster this is the original single-model walk. On a
-/// heterogeneous fleet gangs stay within one generation (an SPMD gang runs
-/// one plan, priced for one machine), and each job is placed on the
-/// generation with enough free nodes whose plan finishes soonest.
+/// Gangs stay within one generation (an SPMD gang runs one plan, priced for
+/// one machine), and each job is placed on the generation with enough free
+/// nodes whose plan finishes soonest.
 fn assign_in_order(
     ctx: &SchedContext<'_>,
     mut plan_job: impl FnMut(&Job, f64, usize) -> Option<ExecutionPlan>,
 ) -> Vec<Assignment> {
     let mut out = Vec::new();
     let mut headroom = ctx.headroom_w();
-    if !ctx.is_heterogeneous() {
-        let gen = ctx.common_gen();
-        let mut free: Vec<usize> = ctx.idle_nodes.to_vec();
-        for (queue_idx, job) in ctx.queue.iter().enumerate() {
-            let k = job.nodes;
-            if free.len() < k {
-                break;
-            }
-            let node_cap = headroom / k as f64 + ctx.node_idle_w;
-            let Some(plan) = plan_job(job, node_cap, gen) else { break };
-            if (plan.peak_power_w - ctx.node_idle_w) * k as f64 > headroom + 1e-9 {
-                break;
-            }
-            headroom -= (plan.peak_power_w - ctx.node_idle_w) * k as f64;
-            let nodes: Vec<usize> = free.drain(..k).collect();
-            out.push(Assignment { queue_idx, nodes, plan });
-        }
-        return out;
-    }
-    let mut free_by_gen: Vec<Vec<usize>> = vec![Vec::new(); ctx.gen_count()];
-    for &n in ctx.idle_nodes {
-        free_by_gen[ctx.gen_of(n)].push(n);
-    }
+    let mut free_by_gen = ctx.free_by_gen();
     for (queue_idx, job) in ctx.queue.iter().enumerate() {
         let k = job.nodes;
         let mut best: Option<(usize, ExecutionPlan)> = None;
@@ -313,6 +247,8 @@ impl BackfillPolicy {
     /// times of both already-running jobs and jobs started earlier in this
     /// same scheduling pass (`started`) — without the latter, the
     /// reservation overshoots and backfilled jobs could delay the head.
+    /// Nodes are pooled across generations and priced at the
+    /// [`SchedContext::pool_gen`] idle floor.
     fn reservation_time(
         ctx: &SchedContext<'_>,
         started: &[RunningSummary],
@@ -321,9 +257,10 @@ impl BackfillPolicy {
         k: usize,
         node_peak_w: f64,
     ) -> f64 {
+        let idle_w = ctx.gen_idle_w(ctx.pool_gen);
         let mut nodes = free_nodes;
         let mut headroom = headroom_w;
-        let need_w = |nodes_needed: usize| (node_peak_w - ctx.node_idle_w) * nodes_needed as f64;
+        let need_w = |nodes_needed: usize| (node_peak_w - idle_w) * nodes_needed as f64;
         if nodes >= k && need_w(k) <= headroom + 1e-9 {
             return ctx.now;
         }
@@ -331,7 +268,7 @@ impl BackfillPolicy {
         completions.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
         for run in completions {
             nodes += run.nodes;
-            headroom += (run.node_peak_w - ctx.node_idle_w) * run.nodes as f64;
+            headroom += (run.node_peak_w - idle_w) * run.nodes as f64;
             if nodes >= k && need_w(k) <= headroom + 1e-9 {
                 return run.finish_s;
             }
@@ -340,81 +277,24 @@ impl BackfillPolicy {
     }
 }
 
-impl BackfillPolicy {
-    /// The original single-model pass: one free list, one planning model.
-    fn assign_uniform(ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        let model = ctx.gen_model(ctx.common_gen());
+impl SchedulerPolicy for BackfillPolicy {
+    fn name(&self) -> &'static str {
+        "backfill"
+    }
+
+    /// Same-generation gangs placed on the fastest generation with room.
+    /// The head's reservation is approximated on the pooled node count with
+    /// the [`SchedContext::pool_gen`] plan peak — exact per-generation
+    /// reservations would need per-generation release tracking for a corner
+    /// the EASY condition already keeps conservative.
+    fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
         let mut out = Vec::new();
-        let mut free: Vec<usize> = ctx.idle_nodes.to_vec();
+        let mut free_by_gen = ctx.free_by_gen();
+        let mut total_free = ctx.idle_nodes.len();
         let mut headroom = ctx.headroom_w();
         // Jobs started in this pass, visible to the reservation computation.
         let mut started: Vec<RunningSummary> = Vec::new();
-        // (start time, nodes, per-node watts) reserved for the blocked head.
-        let mut reservation: Option<(f64, usize, f64)> = None;
-        for (queue_idx, job) in ctx.queue.iter().enumerate() {
-            let k = job.nodes;
-            let plan = model.plan_fixed(job, Configuration::Four);
-            let extra_w = (plan.peak_power_w - ctx.node_idle_w) * k as f64;
-            let fits_now = free.len() >= k && extra_w <= headroom + 1e-9;
-            match reservation {
-                None => {
-                    if fits_now {
-                        headroom -= extra_w;
-                        started.push(RunningSummary {
-                            finish_s: ctx.now + plan.exec_time_s,
-                            nodes: k,
-                            node_peak_w: plan.peak_power_w,
-                        });
-                        let nodes: Vec<usize> = free.drain(..k).collect();
-                        out.push(Assignment { queue_idx, nodes, plan });
-                    } else {
-                        // Head blocks: reserve its start, then try backfill.
-                        let t = Self::reservation_time(
-                            ctx,
-                            &started,
-                            free.len(),
-                            headroom,
-                            k,
-                            plan.peak_power_w,
-                        );
-                        reservation = Some((t, k, plan.peak_power_w));
-                    }
-                }
-                Some((reserved_start, _, _)) => {
-                    if !fits_now {
-                        continue;
-                    }
-                    // EASY condition: the backfilled job releases its nodes
-                    // and power before the head's reservation, so it cannot
-                    // delay the head.
-                    if ctx.now + plan.exec_time_s <= reserved_start + 1e-9 {
-                        headroom -= extra_w;
-                        let nodes: Vec<usize> = free.drain(..k).collect();
-                        out.push(Assignment { queue_idx, nodes, plan });
-                    }
-                }
-            }
-            if free.is_empty() {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Heterogeneous pass: same-generation gangs placed on the fastest
-    /// generation with room. The head's reservation is approximated on the
-    /// pooled node count with the reference generation's plan peak — exact
-    /// per-generation reservations would need per-generation release
-    /// tracking for a corner the EASY condition already keeps conservative.
-    fn assign_hetero(ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut free_by_gen: Vec<Vec<usize>> = vec![Vec::new(); ctx.gen_count()];
-        for &n in ctx.idle_nodes {
-            free_by_gen[ctx.gen_of(n)].push(n);
-        }
-        let mut total_free = ctx.idle_nodes.len();
-        let mut headroom = ctx.headroom_w();
-        let mut started: Vec<RunningSummary> = Vec::new();
+        // Start time reserved for the blocked head.
         let mut reservation: Option<f64> = None;
         for (queue_idx, job) in ctx.queue.iter().enumerate() {
             let k = job.nodes;
@@ -432,6 +312,9 @@ impl BackfillPolicy {
                 }
             }
             let fits = best.is_some();
+            // EASY condition: once the head is blocked, a job may only jump
+            // it if it releases its nodes and power before the head's
+            // reservation, so it cannot delay the head.
             let backfill_ok = match (reservation, &best) {
                 (None, _) => true,
                 (Some(t), Some((_, plan))) => ctx.now + plan.exec_time_s <= t + 1e-9,
@@ -449,14 +332,15 @@ impl BackfillPolicy {
                 let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
                 out.push(Assignment { queue_idx, nodes, plan });
             } else if reservation.is_none() {
-                let ref_plan = ctx.gen_model(0).plan_fixed(job, Configuration::Four);
+                // Head blocks: reserve its start, then try backfill.
+                let pool_plan = ctx.gen_model(ctx.pool_gen).plan_fixed(job, Configuration::Four);
                 reservation = Some(Self::reservation_time(
                     ctx,
                     &started,
                     total_free,
                     headroom,
                     k,
-                    ref_plan.peak_power_w,
+                    pool_plan.peak_power_w,
                 ));
             }
             if total_free == 0 {
@@ -464,20 +348,6 @@ impl BackfillPolicy {
             }
         }
         out
-    }
-}
-
-impl SchedulerPolicy for BackfillPolicy {
-    fn name(&self) -> &'static str {
-        "backfill"
-    }
-
-    fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        if ctx.is_heterogeneous() {
-            Self::assign_hetero(ctx)
-        } else {
-            Self::assign_uniform(ctx)
-        }
     }
 }
 
@@ -568,19 +438,6 @@ pub struct PowerAwarePolicy<C: PowerPerfController = DecisionTableController> {
     dvfs: bool,
 }
 
-impl PowerAwarePolicy<DecisionTableController> {
-    /// The standard ACTOR-driven policy: the model's ANN decisions.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self::new(model.decision_table())
-    }
-
-    /// The standard policy over a heterogeneous fleet: the union decision
-    /// table across every generation's model.
-    pub fn from_fleet(fleet: &FleetModel) -> Self {
-        Self::new(fleet.decision_table())
-    }
-}
-
 impl<C: PowerPerfController> PowerAwarePolicy<C> {
     /// Wraps an arbitrary controller (DCT-only: nominal frequency).
     pub fn new(controller: C) -> Self {
@@ -631,19 +488,13 @@ mod tests {
     use super::*;
     use actor_core::ActorConfig;
     use npb_workloads::BenchmarkId;
-    use xeon_sim::Machine;
 
     const IDLE_W: f64 = 104.0;
 
-    fn model() -> WorkloadModel {
-        let machine = Machine::xeon_qx6600();
+    fn fleet() -> FleetModel {
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        WorkloadModel::build(
-            &machine,
-            &config,
-            &[BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt],
-        )
-        .unwrap()
+        let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
+        FleetModel::build(&config, &ids, &[]).unwrap()
     }
 
     fn job(id: usize, benchmark: BenchmarkId, nodes: usize) -> Job {
@@ -659,7 +510,7 @@ mod tests {
     }
 
     fn ctx<'a>(
-        model: &'a WorkloadModel,
+        fleet: &'a FleetModel,
         queue: &'a [Job],
         idle_nodes: &'a [usize],
         budget_w: f64,
@@ -670,26 +521,26 @@ mod tests {
             now: 0.0,
             queue,
             idle_nodes,
-            model,
             budget_w,
             draw_w,
-            node_idle_w: IDLE_W,
             node_draw_w: &[],
             running,
-            fleet: None,
-            node_gen: &[],
+            fleet,
+            node_gen: &[0; 4],
+            pool_gen: 0,
         }
     }
 
     #[test]
     fn fcfs_respects_queue_order_nodes_and_power() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Cg, 1), job(1, BenchmarkId::Is, 1)];
         let idle = [0usize, 1];
 
         // Ample budget: both start, in order.
         let mut fcfs = FcfsPolicy;
-        let a = fcfs.assign(&ctx(&model, &queue, &idle, 2000.0, 2.0 * IDLE_W, &[]));
+        let a = fcfs.assign(&ctx(&fleet, &queue, &idle, 2000.0, 2.0 * IDLE_W, &[]));
         assert_eq!(a.len(), 2);
         assert_eq!((a[0].queue_idx, a[0].nodes.as_slice()), (0, &[0usize][..]));
         assert_eq!((a[1].queue_idx, a[1].nodes.as_slice()), (1, &[1usize][..]));
@@ -701,19 +552,20 @@ mod tests {
         // waits even though nodes are free.
         let one_job_w = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
         let budget = 2.0 * IDLE_W + (one_job_w - IDLE_W) + 1.0;
-        let a = fcfs.assign(&ctx(&model, &queue, &idle, budget, 2.0 * IDLE_W, &[]));
+        let a = fcfs.assign(&ctx(&fleet, &queue, &idle, budget, 2.0 * IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].queue_idx, 0);
 
         // A 4-node head with only 2 idle nodes blocks the whole queue.
         let queue = vec![job(0, BenchmarkId::Cg, 4), job(1, BenchmarkId::Is, 1)];
-        let a = fcfs.assign(&ctx(&model, &queue, &idle, 4000.0, 2.0 * IDLE_W, &[]));
+        let a = fcfs.assign(&ctx(&fleet, &queue, &idle, 4000.0, 2.0 * IDLE_W, &[]));
         assert!(a.is_empty(), "strict FCFS: nobody jumps a node-blocked head");
     }
 
     #[test]
     fn backfill_lets_short_jobs_jump_a_node_blocked_head() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         // Head wants 4 nodes but only 2 are idle; a short 1-node job waits
         // behind it. A running 2-node job finishes at t = 50.
         let mut head = job(0, BenchmarkId::Cg, 4);
@@ -727,26 +579,27 @@ mod tests {
         let draw = 2.0 * 142.0 + 2.0 * IDLE_W;
 
         let mut backfill = BackfillPolicy;
-        let a = backfill.assign(&ctx(&model, &queue, &idle, 4000.0, draw, &running));
+        let a = backfill.assign(&ctx(&fleet, &queue, &idle, 4000.0, draw, &running));
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].queue_idx, 1, "the short job backfills into the hole");
         assert_eq!(a[0].nodes.len(), 1);
 
         // FCFS on the same state starts nothing.
         let mut fcfs = FcfsPolicy;
-        assert!(fcfs.assign(&ctx(&model, &queue, &idle, 4000.0, draw, &running)).is_empty());
+        assert!(fcfs.assign(&ctx(&fleet, &queue, &idle, 4000.0, draw, &running)).is_empty());
 
         // A long job behind the head (finishing after t = 50) may not jump.
         let mut long_second = job(1, BenchmarkId::Cg, 1);
         long_second.duration_scale = 3.0;
         let queue = vec![job(0, BenchmarkId::Cg, 4), long_second];
-        let a = backfill.assign(&ctx(&model, &queue, &idle, 4000.0, draw, &running));
+        let a = backfill.assign(&ctx(&fleet, &queue, &idle, 4000.0, draw, &running));
         assert!(a.is_empty(), "backfilling must not delay the head's reservation");
     }
 
     #[test]
     fn backfill_reservation_sees_same_pass_assignments() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         // Empty cluster, one pass: A (1 node, short) starts immediately; the
         // head B (2 nodes) then blocks on nodes, and its true reservation is
         // A's finish. C (1 node, much longer than A) must NOT backfill — it
@@ -762,14 +615,15 @@ mod tests {
         let idle = [0usize, 1];
 
         let mut backfill = BackfillPolicy;
-        let assignments = backfill.assign(&ctx(&model, &queue, &idle, 10_000.0, 2.0 * IDLE_W, &[]));
+        let assignments = backfill.assign(&ctx(&fleet, &queue, &idle, 10_000.0, 2.0 * IDLE_W, &[]));
         let started: Vec<usize> = assignments.iter().map(|x| x.queue_idx).collect();
         assert_eq!(started, vec![0], "only A starts; C may not delay the head past A's finish");
     }
 
     #[test]
     fn power_aware_throttles_into_a_tight_budget() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Is, 1)];
         let idle = [0usize];
         let four_w = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
@@ -777,10 +631,10 @@ mod tests {
         let budget = IDLE_W + (four_w - IDLE_W) * 0.5;
 
         let mut fcfs = FcfsPolicy;
-        assert!(fcfs.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[])).is_empty());
+        assert!(fcfs.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[])).is_empty());
 
-        let mut aware = PowerAwarePolicy::from_model(&model);
-        let a = aware.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
+        let mut aware = PowerAwarePolicy::new(fleet.decision_table());
+        let a = aware.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1, "power-aware should throttle the job to fit");
         assert!(a[0].plan.peak_power_w <= budget - IDLE_W + IDLE_W + 1e-9);
         assert!(
@@ -791,11 +645,12 @@ mod tests {
 
     #[test]
     fn power_aware_matches_unconstrained_actor_when_budget_is_ample() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Mg, 1)];
         let idle = [0usize];
-        let mut aware = PowerAwarePolicy::from_model(&model);
-        let a = aware.assign(&ctx(&model, &queue, &idle, 10_000.0, IDLE_W, &[]));
+        let mut aware = PowerAwarePolicy::new(fleet.decision_table());
+        let a = aware.assign(&ctx(&fleet, &queue, &idle, 10_000.0, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         let expected: Vec<Configuration> =
             model.knowledge(BenchmarkId::Mg).phases.iter().map(|p| p.decision.chosen).collect();
@@ -805,20 +660,21 @@ mod tests {
 
     #[test]
     fn power_aware_dvfs_downclocks_instead_of_shedding_threads() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Is, 1)];
         let idle = [0usize];
         let four_w = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
         // Budget below the four-core nominal peak but above single-core power.
         let budget = IDLE_W + (four_w - IDLE_W) * 0.5;
 
-        let mut dct = PowerAwarePolicy::from_model(&model);
-        let dct_plan = &dct.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]))[0].plan;
+        let mut dct = PowerAwarePolicy::new(fleet.decision_table());
+        let dct_plan = &dct.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[]))[0].plan;
         assert!(dct_plan.freq_steps.is_empty(), "DCT-only plans carry no frequency axis");
 
-        let mut joint = PowerAwarePolicy::from_model(&model).with_dvfs();
+        let mut joint = PowerAwarePolicy::new(fleet.decision_table()).with_dvfs();
         assert_eq!(joint.name(), "power-aware-dvfs");
-        let a = joint.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
+        let a = joint.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1, "joint control must also fit the job under the cap");
         let plan = &a[0].plan;
         assert!(plan.peak_power_w <= budget - IDLE_W + IDLE_W + 1e-9);
@@ -840,11 +696,12 @@ mod tests {
 
     #[test]
     fn power_aware_dvfs_matches_dct_when_budget_is_ample() {
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Mg, 1)];
         let idle = [0usize];
-        let mut joint = PowerAwarePolicy::from_model(&model).with_dvfs();
-        let a = joint.assign(&ctx(&model, &queue, &idle, 10_000.0, IDLE_W, &[]));
+        let mut joint = PowerAwarePolicy::new(fleet.decision_table()).with_dvfs();
+        let a = joint.assign(&ctx(&fleet, &queue, &idle, 10_000.0, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         let expected: Vec<Configuration> =
             model.knowledge(BenchmarkId::Mg).phases.iter().map(|p| p.decision.chosen).collect();
@@ -859,11 +716,11 @@ mod tests {
 
     #[test]
     fn policies_are_constructible_by_name() {
-        let model = model();
+        let fleet = fleet();
         for name in POLICY_NAMES {
-            assert_eq!(policy_by_name(name, &model).unwrap().name(), name);
+            assert_eq!(policy_by_name_fleet(name, &fleet).unwrap().name(), name);
         }
-        let err = policy_by_name("lottery", &model).err().expect("unknown policy must fail");
+        let err = policy_by_name_fleet("lottery", &fleet).err().expect("unknown policy must fail");
         let msg = err.to_string();
         for name in POLICY_NAMES {
             assert!(msg.contains(name), "error message must list {name}: {msg}");
@@ -874,7 +731,8 @@ mod tests {
     fn power_aware_is_generic_over_controllers() {
         use actor_core::controller::StaticController;
 
-        let model = model();
+        let fleet = fleet();
+        let model = fleet.reference();
         let queue = vec![job(0, BenchmarkId::Is, 1)];
         let idle = [0usize];
 
@@ -883,15 +741,15 @@ mod tests {
         let four_w = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
         let budget = IDLE_W + (four_w - IDLE_W) * 0.5;
         let mut static_policy = PowerAwarePolicy::new(StaticController::os_default());
-        assert!(static_policy.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[])).is_empty());
+        assert!(static_policy.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[])).is_empty());
 
         // ...while the default ANN-table controller throttles the job in.
-        let mut ann_policy = PowerAwarePolicy::from_model(&model);
-        let a = ann_policy.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
+        let mut ann_policy = PowerAwarePolicy::new(fleet.decision_table());
+        let a = ann_policy.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
 
         // With ample budget the static controller schedules at full width.
-        let a = static_policy.assign(&ctx(&model, &queue, &idle, 10_000.0, IDLE_W, &[]));
+        let a = static_policy.assign(&ctx(&fleet, &queue, &idle, 10_000.0, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         assert!(a[0].plan.decisions.iter().all(|(_, c)| *c == Configuration::Four));
     }

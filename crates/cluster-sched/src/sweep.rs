@@ -33,7 +33,6 @@ use crate::error::ClusterError;
 use crate::fleet::{budget_for_mix, mix_by_name, FleetModel, MACHINE_MIX_NAMES};
 use crate::job::WorkloadSpec;
 use crate::policy::{policy_by_name_fleet, POLICY_NAMES};
-use crate::profile::WorkloadModel;
 use crate::scenario::{
     arrival_process_by_name, fault_scenario_by_name, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
@@ -732,42 +731,14 @@ fn run_cell(
     execute_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry)
 }
 
-/// Executes every cell of `spec` against one shared reference model —
-/// the homogeneous compatibility spelling of [`run_sweep_fleet`]: the
-/// model is wrapped once (per sweep, not per cell) as a single-generation
-/// fleet, so grids whose machine axis is `uniform` behave exactly as
-/// before, and a grid that names another mix fails loudly instead of
-/// silently simulating reference nodes.
-pub fn run_sweep(
-    spec: &SweepSpec,
-    model: &Arc<WorkloadModel>,
-    jobs: usize,
-    on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
-) -> Result<SweepRun, SweepError> {
-    run_sweep_traced(spec, model, jobs, None, on_cell)
-}
-
-/// [`run_sweep`] with an optional telemetry sink: the sink is shared into
-/// every worker (cells trace their cluster events and controller decisions
-/// through it, concurrently) and one [`TraceEvent::SweepCell`] per
-/// completed cell is emitted from the single-threaded join side, in
-/// completion order. `None` is exactly [`run_sweep`].
-pub fn run_sweep_traced(
-    spec: &SweepSpec,
-    model: &Arc<WorkloadModel>,
-    jobs: usize,
-    telemetry: Option<SharedSink>,
-    on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
-) -> Result<SweepRun, SweepError> {
-    let fleet = Arc::new(FleetModel::single(WorkloadModel::clone(model)));
-    run_sweep_fleet(spec, &fleet, jobs, telemetry, on_cell)
-}
-
 /// Executes every cell of `spec` against the shared `fleet` on `jobs`
 /// worker threads (1 = in-line serial execution, no pool).
 ///
 /// `on_cell(outcome, done, total)` streams results in *completion* order as
-/// they arrive — progress narration, incremental CSV rows. The returned
+/// they arrive — progress narration, incremental CSV rows. With a telemetry
+/// sink, every worker traces its cells' cluster events and controller
+/// decisions through it, and one [`TraceEvent::SweepCell`] per completed
+/// cell is emitted from the join side, in completion order. The returned
 /// [`SweepRun`] is always sorted by cell index, so anything rendered from
 /// it is bit-identical across worker counts; pair with
 /// `actor_core::report::StreamingReporter` for the presentation side.

@@ -93,8 +93,8 @@ pub use sampling::{sample_phase, SamplingPlan};
 pub use scalability::{phase_ipc_study, scalability_report, PhaseIpcRow, ScalabilityReport};
 pub use summary::{paper_comparison, HeadlineNumbers};
 pub use telemetry::{
-    BufferedSink, FanoutSink, Histogram, HistogramSnapshot, JsonlSink, MemorySink, MetricsRegistry,
-    NullSink, RingSink, SharedSink, SpanContext, SpanSink, SpannedEvent, TelemetrySink, TraceEvent,
+    FanoutSink, Histogram, HistogramSnapshot, JsonlSink, MemorySink, MetricsRegistry, NullSink,
+    RingSink, SharedSink, SpanContext, SpanSink, SpannedEvent, TelemetrySink, TraceEvent,
 };
 pub use throttle::{select_configuration, ThrottleDecision};
 

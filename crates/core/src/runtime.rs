@@ -1,16 +1,9 @@
 //! Live ACTOR runtime: a [`phase_rt::RegionListener`] that throttles real
 //! parallel regions.
 //!
-//! Three throttling modes are provided for the live path (where phases are
+//! Two throttling modes are provided for the live path (where phases are
 //! real code running on real threads rather than machine-model profiles):
 //!
-//! * [`ThrottleMode::Search`] — the online empirical-search strategy of the
-//!   authors' earlier work \[17\]: the first executions of each phase try every
-//!   candidate binding once, measuring wall-clock time; the fastest binding
-//!   is then locked in for all subsequent executions. This is the strategy
-//!   ACTOR's prediction approach is designed to out-scale (its exploration
-//!   cost grows with the number of configurations), but it is fully
-//!   model-free and therefore ideal for live demonstrations.
 //! * [`ThrottleMode::Fixed`] — apply a pre-computed plan (e.g. decisions
 //!   produced by the ANN predictor offline) to the phases of a live program.
 //! * [`ThrottleMode::Controller`] — the closed loop: any
@@ -22,13 +15,13 @@
 //!   ANN predictor, the decision table, empirical/joint search, or any
 //!   custom controller drives live `phase-rt` kernels end to end through
 //!   the exact same decision cycle the adaptation harness and the cluster
-//!   scheduler use.
+//!   scheduler use. The online empirical search of the authors' earlier
+//!   work \[17\] (try every configuration once, lock the fastest) is
+//!   [`crate::EmpiricalSearchController`] in this mode.
 //!
-//! The `Search` and `Fixed` modes predate the controller trait and are kept
-//! bit-for-bit: `Search` *is* [`crate::EmpiricalSearchController`]'s
-//! strategy specialised to wall-clock candidates, and `Fixed` is a
-//! degenerate decision table — but their decision state lives in this
-//! listener so existing plans and traces stay byte-identical.
+//! The `Fixed` mode predates the controller trait and is kept bit-for-bit:
+//! it is a degenerate decision table, but its plan lives in this listener so
+//! existing plans stay byte-identical.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,11 +40,6 @@ use crate::controller::{configuration_of, CandidatePerf, PhaseSample, PowerPerfC
 /// Marked `#[non_exhaustive]`: match with a wildcard arm downstream.
 #[non_exhaustive]
 pub enum ThrottleMode {
-    /// Measure every candidate binding once per phase, then lock the fastest.
-    Search {
-        /// Candidate bindings to explore, in exploration order.
-        candidates: Vec<Binding>,
-    },
     /// Apply a fixed phase → binding plan; phases not in the plan run with
     /// whatever the application requested.
     Fixed {
@@ -68,9 +56,6 @@ pub enum ThrottleMode {
 impl fmt::Debug for ThrottleMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ThrottleMode::Search { candidates } => {
-                f.debug_struct("Search").field("candidates", candidates).finish()
-            }
             ThrottleMode::Fixed { plan } => f.debug_struct("Fixed").field("plan", plan).finish(),
             ThrottleMode::Controller(c) => f.debug_tuple("Controller").field(&c.name()).finish(),
         }
@@ -153,16 +138,6 @@ impl<B: CounterBackend + Send> CounterSampler for BackendSampler<B> {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct SearchState {
-    /// Total observed time (s) per candidate index.
-    observed: Vec<(usize, f64)>,
-    /// Locked decision, once every candidate has been measured.
-    decision: Option<usize>,
-    /// Candidate that the most recent execution was asked to use.
-    in_flight: Option<usize>,
-}
-
 /// The live controller loop's state (the `Controller` mode).
 struct LiveLoop {
     plane: ControlPlane<Box<dyn PowerPerfController + Send>>,
@@ -185,7 +160,6 @@ impl fmt::Debug for LiveLoop {
 
 #[derive(Debug)]
 enum Mode {
-    Search { candidates: Vec<Binding>, state: Mutex<HashMap<PhaseId, SearchState>> },
     Fixed { plan: HashMap<PhaseId, Binding> },
     Controller(Box<Mutex<LiveLoop>>),
 }
@@ -202,9 +176,6 @@ impl ActorRuntime {
     /// [`ActorRuntime::controller_driven`] to choose the shape.
     pub fn new(mode: ThrottleMode) -> Self {
         match mode {
-            ThrottleMode::Search { candidates } => {
-                Self { mode: Mode::Search { candidates, state: Mutex::new(HashMap::new()) } }
-            }
             ThrottleMode::Fixed { plan } => Self { mode: Mode::Fixed { plan } },
             ThrottleMode::Controller(controller) => {
                 Self::controller_driven(controller, &phase_rt::MachineShape::host())
@@ -262,33 +233,12 @@ impl ActorRuntime {
         self
     }
 
-    /// Creates a search-mode runtime over the standard five configurations
-    /// mapped onto the given machine shape.
-    pub fn search_over_standard_configs(shape: &phase_rt::MachineShape) -> Self {
-        let candidates = vec![
-            Binding::packed(1, shape),
-            Binding::packed(2, shape),
-            Binding::spread(2, shape),
-            Binding::spread(3, shape),
-            Binding::packed(shape.num_cores, shape),
-        ];
-        Self::new(ThrottleMode::Search { candidates })
-    }
-
     /// The decision currently in force for a phase: the planned binding
-    /// (fixed mode), the locked binding (search mode; `None` while still
-    /// exploring) or the most recent validated controller decision
+    /// (fixed mode) or the most recent validated controller decision
     /// (controller mode; `None` before the phase first executed).
     pub fn decision_for(&self, phase: PhaseId) -> Option<Binding> {
         match &self.mode {
             Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Search { candidates, state } => {
-                let search = state.lock();
-                search
-                    .get(&phase)
-                    .and_then(|s| s.decision)
-                    .and_then(|idx| candidates.get(idx).cloned())
-            }
             Mode::Controller(live) => live.lock().decisions.get(&phase).cloned(),
         }
     }
@@ -297,13 +247,6 @@ impl ActorRuntime {
     pub fn decisions(&self) -> Vec<(PhaseId, Binding)> {
         let mut out: Vec<(PhaseId, Binding)> = match &self.mode {
             Mode::Fixed { plan } => plan.iter().map(|(p, b)| (*p, b.clone())).collect(),
-            Mode::Search { candidates, state } => {
-                let search = state.lock();
-                search
-                    .iter()
-                    .filter_map(|(p, s)| s.decision.map(|i| (*p, candidates[i].clone())))
-                    .collect()
-            }
             Mode::Controller(live) => {
                 live.lock().decisions.iter().map(|(p, b)| (*p, b.clone())).collect()
             }
@@ -322,22 +265,6 @@ impl RegionListener for ActorRuntime {
     ) -> Option<Binding> {
         match &self.mode {
             Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Search { candidates, state } => {
-                if candidates.is_empty() {
-                    return None;
-                }
-                let mut search = state.lock();
-                let state = search.entry(phase).or_default();
-                let idx = match state.decision {
-                    Some(idx) => idx,
-                    None => {
-                        let next = state.observed.len().min(candidates.len() - 1);
-                        state.in_flight = Some(next);
-                        next
-                    }
-                };
-                Some(candidates[idx].clone())
-            }
             Mode::Controller(live) => {
                 let live = &mut *live.lock();
                 if let Some(sampler) = live.sampler.as_mut() {
@@ -359,24 +286,6 @@ impl RegionListener for ActorRuntime {
     fn after_region(&self, event: &RegionEvent) {
         match &self.mode {
             Mode::Fixed { .. } => {}
-            Mode::Search { candidates, state } => {
-                let mut search = state.lock();
-                let Some(state) = search.get_mut(&event.phase) else { return };
-                if state.decision.is_some() {
-                    return;
-                }
-                if let Some(idx) = state.in_flight.take() {
-                    state.observed.push((idx, event.duration.as_secs_f64()));
-                    if state.observed.len() >= candidates.len() {
-                        let best = state
-                            .observed
-                            .iter()
-                            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite durations"))
-                            .map(|(idx, _)| *idx);
-                        state.decision = best;
-                    }
-                }
-            }
             Mode::Controller(live) => {
                 let live = &mut *live.lock();
                 // A binding outside the paper's five configurations (the
@@ -428,68 +337,6 @@ mod tests {
         assert!(runtime.before_region(PhaseId::new(2), &requested, 0).is_none());
         assert_eq!(runtime.decisions().len(), 1);
         assert_eq!(runtime.decision_for(PhaseId::new(1)).unwrap().num_threads(), 1);
-    }
-
-    #[test]
-    fn search_mode_explores_then_locks_the_fastest_binding() {
-        let shape = MachineShape::quad_core();
-        let candidates = vec![
-            Binding::packed(1, &shape),
-            Binding::spread(2, &shape),
-            Binding::packed(4, &shape),
-        ];
-        let runtime = ActorRuntime::new(ThrottleMode::Search { candidates: candidates.clone() });
-        let phase = PhaseId::new(7);
-        let requested = Binding::packed(4, &shape);
-
-        // Simulate three executions with known durations: the 2-thread
-        // binding is fastest.
-        let durations = [30, 10, 20];
-        for (i, ms) in durations.iter().enumerate() {
-            let binding = runtime.before_region(phase, &requested, i as u64).unwrap();
-            assert_eq!(binding, candidates[i], "exploration proceeds in candidate order");
-            runtime.after_region(&RegionEvent {
-                phase,
-                binding,
-                duration: Duration::from_millis(*ms),
-                instance: i as u64,
-            });
-        }
-        let decided = runtime.decision_for(phase).unwrap();
-        assert_eq!(decided, candidates[1]);
-        // Subsequent executions keep the decision.
-        let again = runtime.before_region(phase, &requested, 3).unwrap();
-        assert_eq!(again, candidates[1]);
-        assert_eq!(runtime.decisions(), vec![(phase, candidates[1].clone())]);
-    }
-
-    #[test]
-    fn search_runtime_drives_a_live_team() {
-        let team = Team::new(4).unwrap();
-        let shape = *team.shape();
-        let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
-        team.set_listener(runtime.clone());
-        let phase = PhaseId::new(42);
-        let requested = Binding::packed(4, &shape);
-        // Run enough instances to finish the 5-candidate exploration.
-        for _ in 0..8 {
-            team.run_region(phase, &requested, |_ctx| {
-                // A tiny amount of work.
-                std::hint::black_box((0..1000).sum::<u64>());
-            });
-        }
-        assert!(
-            runtime.decision_for(phase).is_some(),
-            "after exploring all candidates the runtime must lock a decision"
-        );
-    }
-
-    #[test]
-    fn empty_candidate_list_never_overrides() {
-        let shape = MachineShape::quad_core();
-        let runtime = ActorRuntime::new(ThrottleMode::Search { candidates: vec![] });
-        assert!(runtime.before_region(PhaseId::new(0), &Binding::packed(2, &shape), 0).is_none());
-        assert!(runtime.decisions().is_empty());
     }
 
     /// Drives one phase through a scripted sequence of region executions.

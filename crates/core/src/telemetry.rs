@@ -18,13 +18,11 @@
 //! * [`JsonlSink`] — appends one JSON object per event to a file (the
 //!   `--trace PATH` flag of the benchmark binaries), counting write errors
 //!   ([`JsonlSink::write_errors`]) and warning to stderr once;
-//! * [`BufferedSink`] — batches events in front of any inner sink and
-//!   replays them through [`TelemetrySink::record_spanned`], amortising the
-//!   inner sink's per-event cost (one lock/write per batch instead of per
-//!   event);
 //! * [`RingSink`] — the lock-free hot-path sink: a bounded ring buffer
 //!   drained by a background thread, never blocking the recorder (overflow
-//!   is counted in [`RingSink::dropped_events`], not waited out);
+//!   is counted in [`RingSink::dropped_events`], not waited out); its
+//!   [`RingSink::deferred`] flight-recorder mode holds a batch back from
+//!   the inner sink until a flush;
 //! * [`SpanSink`] — stamps each event with a [`SpanContext`] (run id,
 //!   source identity, dense per-source sequence, current sweep cell) so
 //!   traces from many processes merge into one causal timeline.
@@ -524,7 +522,7 @@ pub trait TelemetrySink: Send + Sync {
     fn record(&self, event: &TraceEvent);
 
     /// Accepts one event by value. Sinks that copy the event into owned
-    /// storage anyway ([`RingSink`], [`MemorySink`], [`BufferedSink`])
+    /// storage anyway ([`RingSink`], [`MemorySink`])
     /// override this to consume it directly, so a hot-path caller pays one
     /// event construction instead of build-plus-clone. The default
     /// forwards to [`TelemetrySink::record`]; behaviour is identical
@@ -537,8 +535,7 @@ pub trait TelemetrySink: Send + Sync {
     ///
     /// The default forwards to [`TelemetrySink::record`] per event; sinks
     /// with per-call locking override it to take their lock once per batch.
-    /// [`BufferedSink`] replays its buffer through this, and the cluster
-    /// daemon ingests worker `TraceBatch` frames with it.
+    /// The cluster daemon ingests worker `TraceBatch` frames with it.
     fn record_batch(&self, events: &[TraceEvent]) {
         for event in events {
             self.record(event);
@@ -1076,105 +1073,6 @@ impl TelemetrySink for MetricsRegistry {
     }
 }
 
-/// Batches events in front of any inner sink, flushing them through
-/// [`TelemetrySink::record_spanned`] whenever `capacity` events accumulate
-/// (and on [`TelemetrySink::flush`] / drop).
-///
-/// It amortises the inner sink's per-event cost — one lock or write per
-/// batch instead of per event — while preserving span stamps end to end
-/// (unstamped events pass through with no span). For hot paths that must
-/// never even take this sink's `Mutex`, use [`RingSink`] instead.
-///
-/// Batch boundaries never reorder events: the buffer is drained under the
-/// same lock that admits new events, so the inner sink observes the exact
-/// record order.
-pub struct BufferedSink {
-    inner: SharedSink,
-    capacity: usize,
-    buf: Mutex<Vec<SpannedEvent>>,
-}
-
-impl BufferedSink {
-    /// Default batch size: large enough to amortise a lock/syscall, small
-    /// enough that a worker's trace frames stay a few KiB.
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    /// Buffers up to [`Self::DEFAULT_CAPACITY`] events in front of `inner`.
-    pub fn new(inner: SharedSink) -> Self {
-        Self::with_capacity(inner, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Buffers up to `capacity` events in front of `inner` (min 1).
-    pub fn with_capacity(inner: SharedSink, capacity: usize) -> Self {
-        Self { inner, capacity: capacity.max(1), buf: Mutex::new(Vec::new()) }
-    }
-
-    /// Events currently buffered (not yet pushed to the inner sink).
-    pub fn buffered(&self) -> usize {
-        self.buf.lock().len()
-    }
-}
-
-impl fmt::Debug for BufferedSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BufferedSink")
-            .field("capacity", &self.capacity)
-            .field("buffered", &self.buffered())
-            .finish_non_exhaustive()
-    }
-}
-
-impl TelemetrySink for BufferedSink {
-    fn record(&self, event: &TraceEvent) {
-        self.record_owned(event.clone());
-    }
-
-    fn record_owned(&self, event: TraceEvent) {
-        let mut buf = self.buf.lock();
-        buf.push(SpannedEvent::unspanned(event));
-        if buf.len() >= self.capacity {
-            let batch = std::mem::take(&mut *buf);
-            // Deliver while still holding the lock so concurrent recorders
-            // cannot interleave a later event ahead of this batch.
-            self.inner.record_spanned(&batch);
-        }
-    }
-
-    fn record_batch(&self, events: &[TraceEvent]) {
-        let mut buf = self.buf.lock();
-        buf.extend(events.iter().cloned().map(SpannedEvent::unspanned));
-        if buf.len() >= self.capacity {
-            let batch = std::mem::take(&mut *buf);
-            self.inner.record_spanned(&batch);
-        }
-    }
-
-    fn record_spanned(&self, events: &[SpannedEvent]) {
-        let mut buf = self.buf.lock();
-        buf.extend_from_slice(events);
-        if buf.len() >= self.capacity {
-            let batch = std::mem::take(&mut *buf);
-            self.inner.record_spanned(&batch);
-        }
-    }
-
-    fn flush(&self) {
-        let mut buf = self.buf.lock();
-        if !buf.is_empty() {
-            let batch = std::mem::take(&mut *buf);
-            self.inner.record_spanned(&batch);
-        }
-        drop(buf);
-        self.inner.flush();
-    }
-}
-
-impl Drop for BufferedSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,31 +1250,6 @@ mod tests {
         fan.flush();
         assert_eq!(a.len(), 1);
         assert_eq!(b.counter("decision"), 1);
-    }
-
-    #[test]
-    fn buffered_sink_batches_then_flushes() {
-        let inner = Arc::new(MemorySink::new());
-        let buffered = BufferedSink::with_capacity(inner.clone(), 3);
-        buffered.record(&decision(1));
-        buffered.record(&decision(2));
-        assert_eq!(inner.len(), 0, "below capacity nothing reaches the inner sink");
-        assert_eq!(buffered.buffered(), 2);
-        buffered.record(&decision(3));
-        assert_eq!(inner.len(), 3, "capacity reached: the batch lands at once");
-        assert_eq!(buffered.buffered(), 0);
-
-        buffered.record(&decision(4));
-        buffered.flush();
-        assert_eq!(inner.len(), 4, "flush drains a partial batch");
-        let latencies: Vec<_> = inner.events().iter().map(|e| e.latency_ns().unwrap()).collect();
-        assert_eq!(latencies, vec![1, 2, 3, 4], "order is preserved across batches");
-
-        // record_batch feeds the buffer too, and drop flushes the remainder.
-        buffered.record_batch(&[decision(5), decision(6)]);
-        assert_eq!(inner.len(), 4);
-        drop(buffered);
-        assert_eq!(inner.len(), 6, "drop flushes buffered events");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Live adaptation demo: a real conjugate-gradient solver running on the
-//! `phase-rt` runtime, throttled by the ACTOR runtime — first in
-//! empirical-search mode (the model-free strategy of the authors' earlier
-//! work, ideal when no trained model is available for the host machine),
-//! then through the live controller loop (`ThrottleMode::Controller`),
-//! where the same search strategy runs as a [`PowerPerfController`] behind
-//! the shared control plane — the exact abstraction the Figure-8 harness
-//! and the cluster scheduler drive.
+//! `phase-rt` runtime, throttled by the ACTOR runtime's live controller loop
+//! (`ThrottleMode::Controller`): a [`PowerPerfController`] behind the shared
+//! control plane — the exact abstraction the Figure-8 harness and the
+//! cluster scheduler drive. It runs twice: first with the empirical search
+//! of the authors' earlier work (model-free, ideal when no trained model is
+//! available for the host machine), then with the joint search.
 //!
-//! The runtime explores every candidate binding once per phase, measures it,
-//! locks the fastest, and all later iterations of that phase use the locked
-//! binding — while the solver's numerical result stays bit-identical.
+//! The empirical search explores every configuration once per phase,
+//! measures it, locks the fastest, and all later iterations of that phase
+//! use the locked binding — while the solver's numerical result stays
+//! bit-identical.
 //!
 //! ```bash
 //! cargo run --release --example adaptive_cg_live
@@ -18,7 +18,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use actor_suite::actor::controller::{JointSearchController, PowerPerfController};
+use actor_suite::actor::controller::{
+    EmpiricalSearchController, JointSearchController, PowerPerfController,
+};
 use actor_suite::actor::runtime::ActorRuntime;
 use actor_suite::rt::{Binding, Team};
 use actor_suite::workloads::kernels::ConjugateGradient;
@@ -47,7 +49,10 @@ fn main() {
 
     // Adaptive run: ACTOR's live runtime explores, then locks per-phase
     // bindings.
-    let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
+    let runtime = Arc::new(ActorRuntime::controller_driven(
+        Box::new(EmpiricalSearchController::default()),
+        &shape,
+    ));
     team.set_listener(runtime.clone());
     let start = Instant::now();
     let result = solver.run(&team, &Binding::packed(4, &shape));
@@ -64,9 +69,8 @@ fn main() {
     }
     team.clear_listener();
 
-    // The same closed loop through the control plane: any
-    // PowerPerfController — here the model-free joint search — drives the
-    // live kernel via ThrottleMode::Controller.
+    // Any PowerPerfController drives the same loop — here the model-free
+    // joint search.
     let controller: Box<dyn PowerPerfController + Send> =
         Box::new(JointSearchController::default());
     let live = Arc::new(ActorRuntime::controller_driven(controller, &shape));

@@ -1,29 +1,28 @@
 //! Quickstart for the cluster extension: four Xeon nodes, one power budget,
 //! three scheduling policies.
 //!
-//! Builds the ANN-backed workload model, replays the same seeded job stream
-//! under FCFS, EASY backfill and the ACTOR-driven power-aware policy, and
-//! prints the per-job schedule of the power-aware run plus a cluster-level
-//! comparison.
+//! Builds the ANN-backed fleet model (one generation: the paper's Xeon),
+//! replays the same seeded job stream under FCFS, EASY backfill and the
+//! ACTOR-driven power-aware policy, and prints the per-job schedule of the
+//! power-aware run plus a cluster-level comparison.
 //!
 //! Run with: `cargo run --release --example cluster_demo`
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_from_fraction, cluster_summary_table, job_table, policy_by_name, simulate, ClusterSpec,
-    FaultSpec, MachineMix, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, cluster_summary_table, job_table, policy_by_name_fleet, simulate_fleet,
+    ClusterSpec, FaultSpec, FleetModel, MachineMix, WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
 
 fn main() {
-    let machine = Machine::xeon_qx6600();
-    let idle_w = machine.params().power.system_idle_w;
+    let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
     let config = ActorConfig::fast();
     let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
     eprintln!("training ANN ensembles for the workload model...");
-    let model = WorkloadModel::build(&machine, &config, &ids).expect("model builds");
+    let fleet = FleetModel::build(&config, &ids, &[]).expect("model builds");
 
     let spec = ClusterSpec {
         nodes: 4,
@@ -49,8 +48,9 @@ fn main() {
 
     let mut reports = Vec::new();
     for name in ["fcfs", "backfill", "power-aware"] {
-        let mut policy = policy_by_name(name, &model).expect("known policy");
-        reports.push(simulate(&spec, &model, policy.as_mut()).expect("simulation runs"));
+        let mut policy = policy_by_name_fleet(name, &fleet).expect("known policy");
+        reports
+            .push(simulate_fleet(&spec, &fleet, policy.as_mut(), None).expect("simulation runs"));
     }
 
     let aware = reports.last().expect("three runs");

@@ -50,7 +50,7 @@ use actor_core::scalability::{
 use actor_core::{
     AccuracyStudy, ActorConfig, ActorError, AdaptationStudy, BenchmarkEvaluation, Strategy,
 };
-use cluster_sched::{ClusterError, WorkloadModel};
+use cluster_sched::{ClusterError, FleetModel, MachineMix};
 use npb_workloads::{nas_suite, BenchmarkId, BenchmarkProfile};
 use xeon_sim::{Configuration, Machine};
 
@@ -331,14 +331,16 @@ impl Experiment {
         )
     }
 
-    /// The cluster scheduler's workload model over this experiment's suite
-    /// and configuration (for driving `cluster_sched::simulate`).
+    /// The cluster scheduler's fleet model over this experiment's suite and
+    /// configuration: one workload model per machine generation `mixes`
+    /// name, plus the reference `qx6600` (for driving
+    /// `cluster_sched::simulate_fleet` and `cluster_sched::run_sweep_fleet`).
     ///
     /// The cluster simulation instantiates quad-core Xeon nodes, so this
     /// refuses a builder machine with any other topology rather than
     /// silently mixing machine models (generalising the node machine is a
     /// ROADMAP item).
-    pub fn workload_model(&self) -> Result<WorkloadModel, ClusterError> {
+    pub fn fleet_model(&self, mixes: &[MachineMix]) -> Result<FleetModel, ClusterError> {
         let quad = xeon_sim::Topology::quad_core_xeon();
         if *self.machine.topology() != quad {
             return Err(ClusterError::InvalidSpec {
@@ -350,7 +352,7 @@ impl Experiment {
             });
         }
         let ids: Vec<BenchmarkId> = self.suite.iter().map(|b| b.id).collect();
-        WorkloadModel::build(&self.machine, &self.config, &ids)
+        FleetModel::build(&self.config, &ids, mixes)
     }
 
     /// Builds a live [`actor_core::ActorRuntime`] in
@@ -390,7 +392,7 @@ impl Experiment {
     }
 
     /// The attached telemetry sink, if any — cluster bins clone it into
-    /// their sweeps (`run_sweep_traced`) so one `--trace` flag covers both
+    /// their sweeps (`run_sweep_fleet`) so one `--trace` flag covers both
     /// the live runtimes and the cluster event loops.
     pub fn telemetry_sink(&self) -> Option<actor_core::telemetry::SharedSink> {
         self.telemetry.clone()

@@ -89,10 +89,10 @@ pub mod prelude {
     };
     pub use cluster_rpc::{duplex, Connection, Message, RpcError, SweepContext};
     pub use cluster_sched::{
-        budget_from_fraction, cluster_summary_table, job_table, policy_by_name, run_sweep,
-        run_sweep_traced, simulate, simulate_traced, workload_shape_by_name, ClusterReport,
-        ClusterSpec, PowerAwarePolicy, SchedulerPolicy, SweepCell, SweepCellOutcome, SweepError,
-        SweepPoint, SweepRun, SweepSpec, WorkloadModel, WorkloadSpec, POLICY_NAMES,
+        budget_from_fraction, cluster_summary_table, job_table, policy_by_name_fleet,
+        run_sweep_fleet, simulate_fleet, workload_shape_by_name, ClusterReport, ClusterSpec,
+        FleetModel, MachineMix, PowerAwarePolicy, SchedulerPolicy, SweepCell, SweepCellOutcome,
+        SweepError, SweepPoint, SweepRun, SweepSpec, WorkloadModel, WorkloadSpec, POLICY_NAMES,
         WORKLOAD_SHAPE_NAMES,
     };
     pub use npb_workloads::{benchmark, nas_suite, BenchmarkId, BenchmarkProfile};

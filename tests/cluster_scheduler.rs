@@ -3,18 +3,17 @@
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_from_fraction, cluster_summary_table, job_table, policy_by_name, simulate,
-    ClusterReport, ClusterSpec, FaultSpec, MachineMix, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, cluster_summary_table, job_table, policy_by_name_fleet, simulate_fleet,
+    ClusterReport, ClusterSpec, FaultSpec, FleetModel, MachineMix, WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> WorkloadModel {
-    let machine = Machine::xeon_qx6600();
+fn fleet() -> FleetModel {
     let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-    WorkloadModel::build(&machine, &config, &IDS).unwrap()
+    FleetModel::build(&config, &IDS, &[]).unwrap()
 }
 
 fn spec(nodes: usize, budget_fraction: f64) -> ClusterSpec {
@@ -35,17 +34,15 @@ fn spec(nodes: usize, budget_fraction: f64) -> ClusterSpec {
     }
 }
 
-fn run(model: &WorkloadModel, spec: &ClusterSpec, policy: &str) -> ClusterReport {
-    let mut policy = policy_by_name(policy, model).unwrap();
-    simulate(spec, model, policy.as_mut()).unwrap()
+fn run(fleet: &FleetModel, spec: &ClusterSpec, policy: &str) -> ClusterReport {
+    let mut policy = policy_by_name_fleet(policy, fleet).unwrap();
+    simulate_fleet(spec, fleet, policy.as_mut(), None).unwrap()
 }
 
 #[test]
 fn unknown_policy_names_report_the_valid_ones() {
-    let model = model();
-    let err = actor_suite::cluster::policy_by_name("lottery", &model)
-        .err()
-        .expect("unknown policy must fail");
+    let fleet = fleet();
+    let err = policy_by_name_fleet("lottery", &fleet).err().expect("unknown policy must fail");
     let msg = err.to_string();
     for name in actor_suite::cluster::POLICY_NAMES {
         assert!(msg.contains(name), "{msg:?} must list {name}");
@@ -54,11 +51,11 @@ fn unknown_policy_names_report_the_valid_ones() {
 
 #[test]
 fn same_seed_gives_identical_schedules_and_energy() {
-    let model = model();
+    let fleet = fleet();
     let spec = spec(4, 0.6);
     for policy in actor_suite::cluster::POLICY_NAMES {
-        let a = run(&model, &spec, policy);
-        let b = run(&model, &spec, policy);
+        let a = run(&fleet, &spec, policy);
+        let b = run(&fleet, &spec, policy);
         // Identical completion order, assignments, energies — bit for bit.
         assert_eq!(a, b, "{policy}: two runs with one seed must be identical");
         let order_a: Vec<usize> = a.outcomes.iter().map(|o| o.job.id).collect();
@@ -69,18 +66,18 @@ fn same_seed_gives_identical_schedules_and_energy() {
         // A different workload seed must actually change the schedule.
         let mut other = spec.clone();
         other.seed = 100;
-        let c = run(&model, &other, policy);
+        let c = run(&fleet, &other, policy);
         assert_ne!(a.outcomes, c.outcomes, "{policy}: seed must matter");
     }
 }
 
 #[test]
 fn instantaneous_cluster_power_never_exceeds_the_budget() {
-    let model = model();
+    let fleet = fleet();
     for fraction in [0.45, 0.7, 1.0] {
         let spec = spec(4, fraction);
         for policy in actor_suite::cluster::POLICY_NAMES {
-            let report = run(&model, &spec, policy);
+            let report = run(&fleet, &spec, policy);
             assert_eq!(
                 report.outcomes.len(),
                 spec.workload.num_jobs,
@@ -105,10 +102,10 @@ fn instantaneous_cluster_power_never_exceeds_the_budget() {
 
 #[test]
 fn power_aware_beats_fcfs_on_cluster_ed2_under_a_tight_budget() {
-    let model = model();
+    let fleet = fleet();
     let tight = spec(4, 0.45);
-    let fcfs = run(&model, &tight, "fcfs");
-    let aware = run(&model, &tight, "power-aware");
+    let fcfs = run(&fleet, &tight, "fcfs");
+    let aware = run(&fleet, &tight, "power-aware");
     assert!(
         aware.cluster_ed2() < fcfs.cluster_ed2(),
         "power-aware ED2 {:.3e} should beat FCFS ED2 {:.3e} at a tight budget",
@@ -123,9 +120,9 @@ fn power_aware_beats_fcfs_on_cluster_ed2_under_a_tight_budget() {
 
 #[test]
 fn reports_serialize_and_render() {
-    let model = model();
+    let fleet = fleet();
     let spec = spec(4, 0.6);
-    let report = run(&model, &spec, "power-aware");
+    let report = run(&fleet, &spec, "power-aware");
 
     // JSON round-trip through the report types.
     let json = serde_json::to_string(&report).unwrap();

@@ -3,9 +3,6 @@
 //! * the refactored, `ControlPlane`-backed cluster policies schedule
 //!   byte-identically to the pre-refactor inline observe → decide loop
 //!   (for both `power-aware` and `power-aware-dvfs`, JSON included);
-//! * `ThrottleMode::Search`'s locked decisions coincide with the
-//!   `EmpiricalSearchController` run through the live controller loop —
-//!   the two paths are one strategy behind one abstraction;
 //! * the live `ThrottleMode::Controller` loop drives real `phase-rt`
 //!   kernels end to end (via the `ExperimentBuilder` facade) without
 //!   changing their numerics.
@@ -16,13 +13,13 @@ use std::time::Duration;
 
 use actor_suite::actor::controller::{
     validate_decision, CandidatePerf, DecisionCtx, DecisionTableController, DvfsSpace,
-    EmpiricalSearchController, PowerPerfController,
+    PowerPerfController,
 };
 use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, MachineMix,
-    SchedContext, SchedulerPolicy, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name_fleet, simulate_fleet, Assignment, ClusterSpec, FaultSpec,
+    FleetModel, MachineMix, SchedContext, SchedulerPolicy, WorkloadSpec,
 };
 use actor_suite::prelude::{ControllerSpec, ExperimentBuilder};
 use actor_suite::rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener, Team};
@@ -32,10 +29,9 @@ use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> WorkloadModel {
-    let machine = Machine::xeon_qx6600();
+fn fleet() -> FleetModel {
     let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-    WorkloadModel::build(&machine, &config, &IDS).unwrap()
+    FleetModel::build(&config, &IDS, &[]).unwrap()
 }
 
 /// The pre-refactor power-aware policy, reconstructed verbatim: the
@@ -48,9 +44,9 @@ struct InlineLoopPowerAware {
 }
 
 impl InlineLoopPowerAware {
-    fn new(model: &WorkloadModel, dvfs: bool) -> Self {
+    fn new(fleet: &FleetModel, dvfs: bool) -> Self {
         Self {
-            controller: model.decision_table(),
+            controller: fleet.decision_table(),
             shape: MachineShape::quad_core(),
             observed: HashSet::new(),
             dvfs,
@@ -68,7 +64,9 @@ impl SchedulerPolicy for InlineLoopPowerAware {
     }
 
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        let ladder = ctx.model.freq_ladder();
+        // A uniform reference cluster: every node is generation 0.
+        let (model, idle_w) = (ctx.fleet.reference(), ctx.fleet.gen(0).idle_w);
+        let ladder = model.freq_ladder();
         let mut out = Vec::new();
         let mut free: Vec<usize> = ctx.idle_nodes.to_vec();
         let mut headroom = ctx.headroom_w();
@@ -77,11 +75,11 @@ impl SchedulerPolicy for InlineLoopPowerAware {
             if free.len() < k {
                 break;
             }
-            let node_cap = headroom / k as f64 + ctx.node_idle_w;
-            let knowledge = ctx.model.knowledge(job.benchmark);
+            let node_cap = headroom / k as f64 + idle_w;
+            let knowledge = model.knowledge(job.benchmark);
             let mut choices = Vec::with_capacity(knowledge.phases.len());
             for (idx, phase) in knowledge.phases.iter().enumerate() {
-                let pid = ctx.model.phase_id(job.benchmark, idx);
+                let pid = model.phase_id(job.benchmark, idx);
                 if self.observed.insert(pid) {
                     self.controller.observe(pid, &phase.sample());
                 }
@@ -99,11 +97,11 @@ impl SchedulerPolicy for InlineLoopPowerAware {
                 choices.push((config, decision.freq_step));
             }
             let mut iter = choices.into_iter();
-            let plan = ctx.model.plan_with_joint(job, |_| iter.next().expect("one per phase"));
-            if (plan.peak_power_w - ctx.node_idle_w) * k as f64 > headroom + 1e-9 {
+            let plan = model.plan_with_joint(job, |_| iter.next().expect("one per phase"));
+            if (plan.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
                 break;
             }
-            headroom -= (plan.peak_power_w - ctx.node_idle_w) * k as f64;
+            headroom -= (plan.peak_power_w - idle_w) * k as f64;
             let nodes: Vec<usize> = free.drain(..k).collect();
             out.push(Assignment { queue_idx, nodes, plan });
         }
@@ -113,7 +111,7 @@ impl SchedulerPolicy for InlineLoopPowerAware {
 
 #[test]
 fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
-    let model = model();
+    let fleet = fleet();
     let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
     for fraction in [0.45, 0.7, 1.0] {
         let spec = ClusterSpec {
@@ -132,10 +130,10 @@ fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
         };
         for dvfs in [false, true] {
             let name = if dvfs { "power-aware-dvfs" } else { "power-aware" };
-            let mut inline = InlineLoopPowerAware::new(&model, dvfs);
-            let before = simulate(&spec, &model, &mut inline).unwrap();
-            let mut refactored = policy_by_name(name, &model).unwrap();
-            let after = simulate(&spec, &model, refactored.as_mut()).unwrap();
+            let mut inline = InlineLoopPowerAware::new(&fleet, dvfs);
+            let before = simulate_fleet(&spec, &fleet, &mut inline, None).unwrap();
+            let mut refactored = policy_by_name_fleet(name, &fleet).unwrap();
+            let after = simulate_fleet(&spec, &fleet, refactored.as_mut(), None).unwrap();
             assert_eq!(
                 before, after,
                 "{name} at fraction {fraction}: the ControlPlane refactor changed the schedule"
@@ -149,56 +147,6 @@ fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
             );
         }
     }
-}
-
-/// Drives one phase of a runtime through a scripted sequence of region
-/// executions and returns the bindings it enforced.
-fn drive(runtime: &ActorRuntime, phase: PhaseId, shape: &MachineShape, ms: &[u64]) -> Vec<Binding> {
-    let requested = Binding::packed(shape.num_cores, shape);
-    let mut trace = Vec::new();
-    for (i, t) in ms.iter().enumerate() {
-        let binding =
-            runtime.before_region(phase, &requested, i as u64).unwrap_or(requested.clone());
-        runtime.after_region(&RegionEvent {
-            phase,
-            binding: binding.clone(),
-            duration: Duration::from_millis(*t),
-            instance: i as u64,
-        });
-        trace.push(binding);
-    }
-    trace
-}
-
-#[test]
-fn search_mode_and_live_empirical_controller_are_one_strategy() {
-    // ThrottleMode::Search's behavior is pinned across the refactor: for
-    // the same measured durations it explores the standard candidates in
-    // order and locks the fastest — and the EmpiricalSearchController run
-    // through ThrottleMode::Controller produces the *same* binding trace,
-    // because they are the same strategy behind one abstraction.
-    let shape = MachineShape::quad_core();
-    let phase = PhaseId::new(5);
-    let durations = [50u64, 40, 10, 30, 20, 25, 25, 25];
-
-    let search = ActorRuntime::search_over_standard_configs(&shape);
-    let search_trace = drive(&search, phase, &shape, &durations);
-
-    let live =
-        ActorRuntime::controller_driven(Box::new(EmpiricalSearchController::default()), &shape);
-    let live_trace = drive(&live, phase, &shape, &durations);
-
-    assert_eq!(search_trace, live_trace, "one strategy, two paths, one trace");
-    assert_eq!(
-        search.decision_for(phase),
-        live.decision_for(phase),
-        "both paths lock the same (fastest) binding"
-    );
-    // The scripted trace also pins the documented Search semantics:
-    // exploration in candidate order, then the fastest locked.
-    assert_eq!(search_trace[0].num_threads(), 1);
-    assert_eq!(search_trace[4].num_threads(), 4);
-    assert_eq!(search.decision_for(phase).unwrap(), search_trace[2], "third candidate was fastest");
 }
 
 #[test]

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name, simulate, validate_caps, CapCoordinator, ClusterSpec,
-    FaultSpec, Job, MachineMix, SchedContext, SchedError, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name_fleet, simulate_fleet, validate_caps, CapCoordinator,
+    ClusterSpec, FaultSpec, FleetModel, Job, MachineMix, SchedContext, SchedError, WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
@@ -20,12 +20,11 @@ use actor_suite::workloads::BenchmarkId;
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 const NODES: usize = 8;
 
-fn model() -> &'static WorkloadModel {
-    static MODEL: OnceLock<WorkloadModel> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let machine = Machine::xeon_qx6600();
+fn fleet() -> &'static FleetModel {
+    static FLEET: OnceLock<FleetModel> = OnceLock::new();
+    FLEET.get_or_init(|| {
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        WorkloadModel::build(&machine, &config, &IDS).unwrap()
+        FleetModel::build(&config, &IDS, &[]).unwrap()
     })
 }
 
@@ -61,7 +60,7 @@ proptest! {
         headroom in 0.0f64..600.0,
         busy_extra in proptest::collection::vec(10.0f64..60.0, NODES),
     ) {
-        let model = model();
+        let fleet = fleet();
         let idle_w = idle_w();
         let queue: Vec<Job> = bench_picks
             .iter()
@@ -77,16 +76,15 @@ proptest! {
             now: 0.0,
             queue: &queue,
             idle_nodes: &idle_nodes,
-            model,
             budget_w: draw_w + headroom,
             draw_w,
-            node_idle_w: idle_w,
             node_draw_w: &node_draw_w,
             running: &[],
-            fleet: None,
-            node_gen: &[],
+            fleet,
+            node_gen: &[0; NODES],
+            pool_gen: 0,
         };
-        let mut coordinator = CapCoordinator::from_model(model);
+        let mut coordinator = CapCoordinator::new(fleet.decision_table());
         let caps = coordinator.redistribute(&ctx);
         prop_assert!(caps.is_ok(), "redistribution must not fail: {:?}", caps.err());
         let caps = caps.unwrap();
@@ -123,7 +121,7 @@ proptest! {
         seed in 0u64..1_000,
         fraction in 0.45f64..1.0,
     ) {
-        let model = model();
+        let fleet = fleet();
         let spec = ClusterSpec {
             nodes: 4,
             power_budget_w: budget_from_fraction(4, idle_w(), 160.0, fraction),
@@ -138,8 +136,8 @@ proptest! {
             },
             seed,
         };
-        let mut policy = policy_by_name("power-aware-coordinated", model).unwrap();
-        let report = simulate(&spec, model, policy.as_mut()).unwrap();
+        let mut policy = policy_by_name_fleet("power-aware-coordinated", fleet).unwrap();
+        let report = simulate_fleet(&spec, fleet, policy.as_mut(), None).unwrap();
         prop_assert_eq!(report.outcomes.len(), spec.workload.num_jobs);
         prop_assert!(
             report.peak_power_w <= spec.power_budget_w + 1e-6,
@@ -157,8 +155,8 @@ fn validator_returns_typed_errors_not_panics() {
     // starvation are typed `SchedError`s (release paths must not panic),
     // and unknown policy names keep listing the valid ones — including the
     // coordinated policy.
-    let model = model();
-    let err = policy_by_name("coordinated", model).err().expect("unknown name must fail");
+    let fleet = fleet();
+    let err = policy_by_name_fleet("coordinated", fleet).err().expect("unknown name must fail");
     assert!(matches!(err, SchedError::UnknownPolicy { .. }));
     assert!(
         err.to_string().contains("power-aware-coordinated"),
@@ -168,7 +166,7 @@ fn validator_returns_typed_errors_not_panics() {
 
 #[test]
 fn coordinated_policy_is_deterministic() {
-    let model = model();
+    let fleet = fleet();
     let spec = ClusterSpec {
         nodes: 4,
         power_budget_w: budget_from_fraction(4, idle_w(), 160.0, 0.5),
@@ -184,8 +182,8 @@ fn coordinated_policy_is_deterministic() {
         seed: 7,
     };
     let run = || {
-        let mut policy = policy_by_name("power-aware-coordinated", model).unwrap();
-        simulate(&spec, model, policy.as_mut()).unwrap()
+        let mut policy = policy_by_name_fleet("power-aware-coordinated", fleet).unwrap();
+        simulate_fleet(&spec, fleet, policy.as_mut(), None).unwrap()
     };
     assert_eq!(run(), run(), "one seed, one schedule");
 }
@@ -195,7 +193,7 @@ fn coordinated_policy_is_deterministic() {
 /// cluster ED² over the independent `power-aware-dvfs` baseline.
 #[test]
 fn coordinated_capping_strictly_improves_tight_budget_ed2() {
-    let model = model();
+    let fleet = fleet();
     let spec = ClusterSpec {
         nodes: NODES,
         power_budget_w: budget_from_fraction(NODES, idle_w(), 160.0, 0.45),
@@ -210,10 +208,10 @@ fn coordinated_capping_strictly_improves_tight_budget_ed2() {
         },
         seed: 2007,
     };
-    let mut independent = policy_by_name("power-aware-dvfs", model).unwrap();
-    let independent_report = simulate(&spec, model, independent.as_mut()).unwrap();
-    let mut coordinated = policy_by_name("power-aware-coordinated", model).unwrap();
-    let coordinated_report = simulate(&spec, model, coordinated.as_mut()).unwrap();
+    let mut independent = policy_by_name_fleet("power-aware-dvfs", fleet).unwrap();
+    let independent_report = simulate_fleet(&spec, fleet, independent.as_mut(), None).unwrap();
+    let mut coordinated = policy_by_name_fleet("power-aware-coordinated", fleet).unwrap();
+    let coordinated_report = simulate_fleet(&spec, fleet, coordinated.as_mut(), None).unwrap();
     assert!(
         coordinated_report.cluster_ed2() < independent_report.cluster_ed2(),
         "coordinated ED2 {:.4e} must strictly beat independent ED2 {:.4e}",

@@ -9,8 +9,8 @@ use rand::SeedableRng;
 use actor_suite::actor::adaptation::run_adaptation_study_on;
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, MachineMix,
-    PowerAwarePolicy, SchedContext, SchedulerPolicy, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name_fleet, simulate_fleet, Assignment, ClusterSpec, FaultSpec,
+    FleetModel, MachineMix, PowerAwarePolicy, SchedContext, SchedulerPolicy, WorkloadSpec,
 };
 use actor_suite::prelude::{
     AdaptationStudy, ControllerSpec, ExperimentBuilder, Metric, OracleController, Strategy,
@@ -111,6 +111,8 @@ impl SchedulerPolicy for LegacyPowerAware {
     }
 
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
+        // A uniform reference cluster: every node is generation 0.
+        let (model, idle_w) = (ctx.fleet.reference(), ctx.fleet.gen(0).idle_w);
         let mut out = Vec::new();
         let mut free: Vec<usize> = ctx.idle_nodes.to_vec();
         let mut headroom = ctx.headroom_w();
@@ -119,12 +121,12 @@ impl SchedulerPolicy for LegacyPowerAware {
             if free.len() < k {
                 break;
             }
-            let node_cap = headroom / k as f64 + ctx.node_idle_w;
-            let Some(plan) = ctx.model.plan_within_power(job, node_cap) else { break };
-            if (plan.peak_power_w - ctx.node_idle_w) * k as f64 > headroom + 1e-9 {
+            let node_cap = headroom / k as f64 + idle_w;
+            let Some(plan) = model.plan_within_power(job, node_cap) else { break };
+            if (plan.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
                 break;
             }
-            headroom -= (plan.peak_power_w - ctx.node_idle_w) * k as f64;
+            headroom -= (plan.peak_power_w - idle_w) * k as f64;
             let nodes: Vec<usize> = free.drain(..k).collect();
             out.push(Assignment { queue_idx, nodes, plan });
         }
@@ -134,10 +136,8 @@ impl SchedulerPolicy for LegacyPowerAware {
 
 #[test]
 fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
-    let machine = Machine::xeon_qx6600();
-    let config = fast_config();
-    let model = WorkloadModel::build(&machine, &config, &IDS).unwrap();
-    let idle_w = machine.params().power.system_idle_w;
+    let fleet = FleetModel::build(&fast_config(), &IDS, &[]).unwrap();
+    let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
 
     for fraction in [0.45, 0.7, 1.0] {
         let spec = ClusterSpec {
@@ -155,10 +155,10 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
             seed: 99,
         };
         let mut legacy = LegacyPowerAware;
-        let before = simulate(&spec, &model, &mut legacy).unwrap();
+        let before = simulate_fleet(&spec, &fleet, &mut legacy, None).unwrap();
 
-        let mut generic = PowerAwarePolicy::from_model(&model);
-        let after = simulate(&spec, &model, &mut generic).unwrap();
+        let mut generic = PowerAwarePolicy::new(fleet.decision_table());
+        let after = simulate_fleet(&spec, &fleet, &mut generic, None).unwrap();
         assert_eq!(
             before, after,
             "budget fraction {fraction}: the controller-generic policy must schedule \
@@ -166,8 +166,8 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
         );
 
         // And the by-name constructor builds the same thing.
-        let mut by_name = policy_by_name("power-aware", &model).unwrap();
-        let by_name_report = simulate(&spec, &model, by_name.as_mut()).unwrap();
+        let mut by_name = policy_by_name_fleet("power-aware", &fleet).unwrap();
+        let by_name_report = simulate_fleet(&spec, &fleet, by_name.as_mut(), None).unwrap();
         assert_eq!(before, by_name_report);
     }
 }

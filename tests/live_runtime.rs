@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use actor_suite::actor::controller::EmpiricalSearchController;
 use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
 use actor_suite::rt::{Binding, PhaseId, Team};
 use actor_suite::workloads::kernels::{
@@ -20,8 +21,11 @@ fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
     // Reference solution without any listener.
     let reference = solver.run(&team, &Binding::packed(4, &shape));
 
-    // Adaptive run with the empirical-search runtime attached.
-    let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
+    // Adaptive run with the empirical search driving the live loop.
+    let runtime = Arc::new(ActorRuntime::controller_driven(
+        Box::new(EmpiricalSearchController::default()),
+        &shape,
+    ));
     team.set_listener(runtime.clone());
     let adaptive = solver.run(&team, &Binding::packed(4, &shape));
     team.clear_listener();

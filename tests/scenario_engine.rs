@@ -1,8 +1,9 @@
 //! Cross-crate invariants of the scenario engine: fault-injection power
 //! accounting (a failed node accrues nothing), exactly-once resolution of
 //! gangs caught by a crash (rescheduled or killed, never both, never
-//! twice), deterministic seeded fault schedules, and byte-identical
-//! heterogeneous+faulty+bursty sweep results at any worker count.
+//! twice), deterministic seeded fault schedules, byte-identical
+//! heterogeneous+faulty+bursty sweep results at any worker count, and
+//! pinned schedules on single-generation mixes.
 
 use std::sync::{Arc, OnceLock};
 
@@ -10,9 +11,9 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_for_mix, fault_timeline, mix_by_name, policy_by_name_fleet, run_sweep_fleet, simulate,
+    budget_for_mix, fault_timeline, mix_by_name, policy_by_name_fleet, run_sweep_fleet,
     simulate_fleet, ClusterError, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepSpec,
-    WorkloadModel, WorkloadSpec, GEN_PHASE_ID_STRIDE,
+    WorkloadModel, WorkloadSpec, GEN_PHASE_ID_STRIDE, POLICY_NAMES,
 };
 use actor_suite::sim::{Configuration, Machine};
 use actor_suite::workloads::BenchmarkId;
@@ -184,20 +185,63 @@ proptest! {
     }
 }
 
-/// The homogeneous entry point refuses heterogeneous specs loudly instead
-/// of silently pricing every node as the reference machine (the run_sweep
-/// budget-pricing bug this layer replaced).
+/// A spec naming a generation its fleet was not built with fails with a
+/// typed error naming that generation, instead of silently pricing those
+/// nodes as another machine.
 #[test]
-fn homogeneous_entry_point_rejects_mixed_specs() {
-    let spec = spec(FaultSpec::default(), 7);
-    let mut policy = policy_by_name_fleet("power-aware-dvfs", fleet()).unwrap();
-    let err = simulate(&spec, fleet().reference(), policy.as_mut())
-        .expect_err("a mixed spec through the single-model path must fail");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("FleetModel") && msg.contains("mixed"),
-        "the error must name the mix and point at the fleet API: {msg}"
-    );
+fn spec_generation_missing_from_the_fleet_is_a_typed_error() {
+    let modern = [mix_by_name("modern").expect("built-in mix")];
+    let fleet = FleetModel::build(&fleet_config(), &IDS, &modern).expect("fleet builds");
+    let machines = mix_by_name("legacy").expect("built-in mix");
+    let spec = ClusterSpec { machines, ..spec(FaultSpec::default(), 7) };
+    let mut policy = policy_by_name_fleet("power-aware-dvfs", &fleet).unwrap();
+    let err = simulate_fleet(&spec, &fleet, policy.as_mut(), None)
+        .expect_err("a legacy spec needs the x5355 generation");
+    assert!(matches!(err, ClusterError::InvalidSpec { .. }), "typed spec error, got {err:?}");
+    assert!(err.to_string().contains("x5355"), "the error must name the generation: {err}");
+}
+
+/// 64-bit FNV-1a of a serialized report.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Every policy's schedule on 8-node single-generation cells reproduces the
+/// report digests recorded when such clusters still ran a dedicated
+/// scheduling path. `modern` matters most: its one generation is not the
+/// fleet's reference, so backfill must price its reservation on `e5450`.
+#[test]
+fn single_generation_schedules_are_pinned() {
+    // One row per (mix, budget fraction, seed) in loop order, one digest per
+    // `POLICY_NAMES` entry.
+    const PINS: &str = "
+        cd40b98867c2bdca a847c9108af44793 16d63c1784874be8 4caf603d05173260 55d5ead6b85c9e59
+        0a0b75e3f2dd4c5e abbae14e109bc60c 544baadaf598c337 c31ca2305e199774 d6c454e2170b0b3d
+        0c8739f33d60c5f1 78a0d405f5461fdd ceec10664a0696f3 85247fbd17e56aa1 97d87a478a8901f5
+        39f856691fd0878e 83d6bd72e5878069 08d5e29fa674eba8 57bfdae84a8e1d26 127a2e56cbbe4d77
+        050755246fd817e2 7351e1a94b143ac2 2b56b78c17ff14be 5100a1c6dce7c8d1 7b461c3ffa6eb82a
+        7b3bc8f7f391d7e4 40b503e20a47314c 61de563ab452ed10 41bf76b141c96a78 da3148968429f957
+        3f0b8fae34670d57 078723426edc7fa4 a8832ff03abd3b3a 5a1dd5fda4a9b1b0 32c0ab3fda1d40c9
+        f520f2cb195537c7 7e7725d8c8899b0d aa2323940684a5a7 a7b783c9730a79f9 4d3ee21633996706";
+    let mut pins = PINS.split_whitespace().map(|h| u64::from_str_radix(h, 16).unwrap());
+    for mix in ["uniform", "modern"] {
+        let machines = mix_by_name(mix).expect("built-in mix");
+        for (fraction, seed) in [(0.45, 7), (0.45, 8), (0.7, 7), (0.7, 8)] {
+            let power_budget_w = budget_for_mix(NODES, &machines, MAX_NODE_W, fraction);
+            let machines = machines.clone();
+            let spec = ClusterSpec { machines, power_budget_w, ..spec(FaultSpec::default(), seed) };
+            for name in POLICY_NAMES {
+                let mut policy = policy_by_name_fleet(name, fleet()).unwrap();
+                let report = simulate_fleet(&spec, fleet(), policy.as_mut(), None).unwrap();
+                let json = serde_json::to_string(&report).expect("reports serialize");
+                let want = pins.next().expect("one pin per cell");
+                assert_eq!(fnv1a(json.as_bytes()), want, "{name}, {mix}, {fraction}, seed {seed}");
+            }
+        }
+    }
+    assert!(pins.next().is_none(), "every pin is checked");
 }
 
 /// The acceptance byte-identity: a mixed-generation, fault-injected,

@@ -13,27 +13,21 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_from_fraction, cluster_summary_row, policy_by_name, run_sweep, simulate, ClusterReport,
-    ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepError, SweepSpec, WorkloadModel,
-    WorkloadSpec,
+    budget_from_fraction, cluster_summary_row, policy_by_name_fleet, run_sweep_fleet,
+    simulate_fleet, ClusterReport, ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepError,
+    SweepSpec, WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> &'static Arc<WorkloadModel> {
-    static MODEL: OnceLock<Arc<WorkloadModel>> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let machine = Machine::xeon_qx6600();
-        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        Arc::new(WorkloadModel::build(&machine, &config, &IDS).unwrap())
-    })
-}
-
-fn fleet() -> Arc<FleetModel> {
+fn fleet() -> &'static Arc<FleetModel> {
     static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
-    Arc::clone(FLEET.get_or_init(|| Arc::new(FleetModel::single(WorkloadModel::clone(model())))))
+    FLEET.get_or_init(|| {
+        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
+        Arc::new(FleetModel::build(&config, &IDS, &[]).unwrap())
+    })
 }
 
 /// A small per-cell workload drawing only the model's benchmarks (the
@@ -92,10 +86,10 @@ proptest! {
         spec.policies.dedup();
         spec.seeds = (seed_lo..seed_lo + seed_count).collect();
 
-        let serial = run_sweep(&spec, model(), 1, |_, _, _| {});
+        let serial = run_sweep_fleet(&spec, fleet(), 1, None, |_, _, _| {});
         prop_assert!(serial.is_ok(), "serial sweep failed: {:?}", serial.err());
         let serial = serial.unwrap();
-        let parallel = run_sweep(&spec, model(), 8, |_, _, _| {}).unwrap();
+        let parallel = run_sweep_fleet(&spec, fleet(), 8, None, |_, _, _| {}).unwrap();
 
         prop_assert_eq!(serial.outcomes.len(), spec.len());
         prop_assert_eq!(&serial.outcomes, &parallel.outcomes);
@@ -114,7 +108,7 @@ proptest! {
 /// per (nodes × budget × policy)) at all three default budgets.
 #[test]
 fn engine_matches_the_inline_loop_at_all_default_budgets() {
-    let model = model();
+    let fleet = fleet();
     let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
     let budgets = [("tight", 0.45), ("medium", 0.7), ("ample", 1.0)];
     let policies = ["fcfs", "backfill", "power-aware"];
@@ -132,8 +126,8 @@ fn engine_matches_the_inline_loop_at_all_default_budgets() {
                 workload: test_workload(nodes),
                 seed: 2007,
             };
-            let mut policy = policy_by_name(policy_name, model).unwrap();
-            inline_reports.push(simulate(&spec, model, policy.as_mut()).unwrap());
+            let mut policy = policy_by_name_fleet(policy_name, fleet).unwrap();
+            inline_reports.push(simulate_fleet(&spec, fleet, policy.as_mut(), None).unwrap());
         }
     }
 
@@ -146,7 +140,7 @@ fn engine_matches_the_inline_loop_at_all_default_budgets() {
         ..test_spec()
     };
     for jobs in [1, 4] {
-        let run = run_sweep(&spec, model, jobs, |_, _, _| {}).unwrap();
+        let run = run_sweep_fleet(&spec, fleet, jobs, None, |_, _, _| {}).unwrap();
         let engine_reports: Vec<&ClusterReport> = run.reports();
         assert_eq!(engine_reports.len(), inline_reports.len());
         for (inline, engine) in inline_reports.iter().zip(engine_reports) {
@@ -173,7 +167,7 @@ fn streaming_callback_sees_every_cell_and_total() {
         ..test_spec()
     };
     let mut seen = Vec::new();
-    let run = run_sweep(&spec, model(), 4, |outcome, done, total| {
+    let run = run_sweep_fleet(&spec, fleet(), 4, None, |outcome, done, total| {
         seen.push((outcome.cell.index, done, total));
     })
     .unwrap();
@@ -198,7 +192,7 @@ fn failing_cells_surface_with_their_identity() {
     spec.policies = vec!["fcfs".into()];
     spec.seeds = vec![7];
     for jobs in [1, 4] {
-        match run_sweep(&spec, model(), jobs, |_, _, _| {}) {
+        match run_sweep_fleet(&spec, fleet(), jobs, None, |_, _, _| {}) {
             Err(SweepError::Cell { cell, source }) => {
                 assert_eq!(cell.index, 0, "jobs={jobs}: lowest-index failure wins");
                 assert_eq!(cell.point.budget_label, "starved");
@@ -230,7 +224,7 @@ fn panicking_cells_surface_as_worker_panicked() {
         ..SweepSpec::default()
     };
     for jobs in [1, 4] {
-        match run_sweep(&spec, model(), jobs, |_, _, _| {}) {
+        match run_sweep_fleet(&spec, fleet(), jobs, None, |_, _, _| {}) {
             Err(SweepError::Pool(phase_rt::RtError::WorkerPanicked { message })) => {
                 assert!(
                     message.contains("deliberate workload-shape panic"),
@@ -282,10 +276,10 @@ fn sweep_speedup_with_parallel_workers() {
     };
     let spec = speedup_spec();
     let t1 = Instant::now();
-    let serial = run_sweep(&spec, model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, fleet(), 1, None, |_, _, _| {}).unwrap();
     let serial_s = t1.elapsed().as_secs_f64();
     let tn = Instant::now();
-    let parallel = run_sweep(&spec, model(), jobs, |_, _, _| {}).unwrap();
+    let parallel = run_sweep_fleet(&spec, fleet(), jobs, None, |_, _, _| {}).unwrap();
     let parallel_s = tn.elapsed().as_secs_f64();
     assert_eq!(serial.outcomes, parallel.outcomes, "speedup must not change results");
     let speedup = serial_s / parallel_s;
@@ -312,7 +306,7 @@ fn distributed_dispatch_speedup_over_serial() {
     };
     let spec = speedup_spec();
     let t1 = Instant::now();
-    let serial = run_sweep(&spec, model(), 1, |_, _, _| {}).unwrap();
+    let serial = run_sweep_fleet(&spec, fleet(), 1, None, |_, _, _| {}).unwrap();
     let serial_s = t1.elapsed().as_secs_f64();
 
     let context = SweepContext {
@@ -330,7 +324,7 @@ fn distributed_dispatch_speedup_over_serial() {
         let (daemon_side, worker_side) = duplex();
         conn_tx.send(Box::new(daemon_side) as _).map_err(|_| "conns closed").unwrap();
         workers.push(std::thread::spawn(move || {
-            run_worker_with(Box::new(worker_side), "speedup", |_| Ok(fleet()))
+            run_worker_with(Box::new(worker_side), "speedup", |_| Ok(Arc::clone(fleet())))
         }));
     }
     drop(conn_tx);

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_from_fraction, cluster_summary_row, policy_by_name, run_sweep, run_sweep_traced,
-    simulate_traced, ClusterSpec, FaultSpec, MachineMix, SweepRun, SweepSpec, WorkloadModel,
+    budget_from_fraction, cluster_summary_row, policy_by_name_fleet, run_sweep_fleet,
+    simulate_fleet, ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepRun, SweepSpec,
     WorkloadSpec,
 };
 use actor_suite::prelude::{
@@ -23,12 +23,11 @@ use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> &'static Arc<WorkloadModel> {
-    static MODEL: OnceLock<Arc<WorkloadModel>> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let machine = Machine::xeon_qx6600();
+fn fleet() -> &'static Arc<FleetModel> {
+    static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
+    FLEET.get_or_init(|| {
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        Arc::new(WorkloadModel::build(&machine, &config, &IDS).unwrap())
+        Arc::new(FleetModel::build(&config, &IDS, &[]).unwrap())
     })
 }
 
@@ -85,12 +84,12 @@ proptest! {
         spec.budgets.dedup();
         spec.policies.dedup();
 
-        let untraced = run_sweep(&spec, model(), 1, |_, _, _| {}).unwrap();
+        let untraced = run_sweep_fleet(&spec, fleet(), 1, None, |_, _, _| {}).unwrap();
         let reference = artefact_bytes(&untraced);
         for jobs in [1usize, 8] {
             let sink: SharedSink = Arc::new(NullSink);
             let traced =
-                run_sweep_traced(&spec, model(), jobs, Some(sink), |_, _, _| {}).unwrap();
+                run_sweep_fleet(&spec, fleet(), jobs, Some(sink), |_, _, _| {}).unwrap();
             prop_assert_eq!(&untraced.outcomes, &traced.outcomes);
             prop_assert_eq!(&reference, &artefact_bytes(&traced));
 
@@ -99,8 +98,8 @@ proptest! {
             // simulation stays deterministic and nothing is dropped.
             let memory = Arc::new(MemorySink::new());
             let ring = Arc::new(RingSink::new(memory.clone() as SharedSink));
-            let ringed = run_sweep_traced(
-                &spec, model(), jobs, Some(ring.clone() as SharedSink), |_, _, _| {},
+            let ringed = run_sweep_fleet(
+                &spec, fleet(), jobs, Some(ring.clone() as SharedSink), |_, _, _| {},
             ).unwrap();
             ring.flush();
             prop_assert_eq!(&untraced.outcomes, &ringed.outcomes);
@@ -117,7 +116,7 @@ proptest! {
 /// with latencies populated where the schema promises them.
 #[test]
 fn memory_sink_captures_every_event_kind_end_to_end() {
-    let model = model();
+    let fleet = fleet();
     let nodes = 4usize;
     let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
     let spec = ClusterSpec {
@@ -129,9 +128,9 @@ fn memory_sink_captures_every_event_kind_end_to_end() {
         seed: 2007,
     };
     let sink = Arc::new(MemorySink::new());
-    let mut policy = policy_by_name("power-aware-coordinated", model).unwrap();
+    let mut policy = policy_by_name_fleet("power-aware-coordinated", fleet).unwrap();
     let report =
-        simulate_traced(&spec, model, policy.as_mut(), Some(sink.clone() as SharedSink)).unwrap();
+        simulate_fleet(&spec, fleet, policy.as_mut(), Some(sink.clone() as SharedSink)).unwrap();
 
     let events = sink.events();
     let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
@@ -238,9 +237,9 @@ fn memory_sink_overhead_is_under_five_percent() {
     let sample = |sink: Option<SharedSink>| {
         let started = std::time::Instant::now();
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        let model = WorkloadModel::build(&machine, &config, &IDS).unwrap();
-        let mut policy = policy_by_name("power-aware", &model).unwrap();
-        simulate_traced(&spec, &model, policy.as_mut(), sink).unwrap();
+        let fleet = FleetModel::build(&config, &IDS, &[]).unwrap();
+        let mut policy = policy_by_name_fleet("power-aware", &fleet).unwrap();
+        simulate_fleet(&spec, &fleet, policy.as_mut(), sink).unwrap();
         started.elapsed().as_secs_f64()
     };
     sample(None); // warmup
@@ -280,7 +279,7 @@ fn traced_sweep_emits_one_cell_record_per_cell() {
             memory.clone() as SharedSink,
             registry.clone() as SharedSink,
         ]));
-        run_sweep_traced(&spec, model(), jobs, Some(sink), |_, _, _| {}).unwrap();
+        run_sweep_fleet(&spec, fleet(), jobs, Some(sink), |_, _, _| {}).unwrap();
         let mut indices: Vec<usize> = memory
             .events()
             .iter()
