@@ -84,6 +84,7 @@ fn main() {
     }
     let harness = Harness::from_env();
     let args = &harness.args;
+    args.reject_unhonoured_flags(&["--serve"]);
     let Some(socket) = args.serve.clone() else {
         eprintln!(
             "error: cluster_daemon requires --serve SOCKET (the Unix socket to bind) or \
@@ -91,13 +92,6 @@ fn main() {
         );
         std::process::exit(2);
     };
-    if args.processes.is_some() || args.connect.is_some() {
-        eprintln!(
-            "error: cluster_daemon serves external workers only; --processes belongs to \
-             cluster_sweep and --connect to cluster_worker"
-        );
-        std::process::exit(2);
-    }
 
     let mut spec = default_spec(args.fast);
     if let Some(grid) = &args.grid {

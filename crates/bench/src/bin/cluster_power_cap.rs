@@ -74,13 +74,7 @@ struct SweepOutput {
 fn main() {
     let dvfs = std::env::args().skip(1).any(|a| a == "--dvfs" || a == "--freq-ladder");
     let harness = Harness::from_env();
-    if harness.args.serve.is_some() || harness.args.connect.is_some() {
-        eprintln!(
-            "error: cluster_power_cap neither serves nor connects; use the cluster_daemon and \
-             cluster_worker binaries for external workers"
-        );
-        std::process::exit(2);
-    }
+    harness.args.reject_unhonoured_flags(&["--processes"]);
     if harness.args.grid.is_some() {
         // This bin's headline tables assume the historical fixed grid;
         // arbitrary grids belong to `cluster_sweep`.

@@ -1,8 +1,8 @@
 //! `cluster_sweep` — the policy-search demonstrator for the parallel sweep
 //! engine: a ~1000-cell grid over nodes × budgets × policies × seeds, run
-//! concurrently on `phase_rt::ThreadPool` workers against one `Arc`-shared
-//! ANN-trained fleet model (one workload model per machine generation the
-//! grid names) — or, under `--processes N`, on N local
+//! concurrently on the sweep engine's scoped worker threads against one
+//! `Arc`-shared ANN-trained fleet model (one workload model per machine
+//! generation the grid names) — or, under `--processes N`, on N local
 //! worker *processes* dispatched by the cluster daemon.
 //!
 //! Every policy is scored across the whole space: per (nodes, budget, seed)
@@ -46,13 +46,7 @@ use npb_workloads::BenchmarkId;
 fn main() {
     let harness = Harness::from_env();
     let args = &harness.args;
-    if args.serve.is_some() || args.connect.is_some() {
-        eprintln!(
-            "error: cluster_sweep neither serves nor connects; use the cluster_daemon and \
-             cluster_worker binaries for external workers"
-        );
-        std::process::exit(2);
-    }
+    args.reject_unhonoured_flags(&["--processes"]);
 
     let mut spec = default_spec(args.fast);
     if let Some(grid) = &args.grid {

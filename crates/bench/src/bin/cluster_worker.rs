@@ -43,6 +43,7 @@ fn name_arg() -> Option<String> {
 
 fn main() {
     let args = BenchArgs::from_env();
+    args.reject_unhonoured_flags(&["--connect"]);
     let Some(socket) = args.connect else {
         eprintln!("error: cluster_worker requires --connect SOCKET (the daemon's Unix socket)");
         std::process::exit(2);

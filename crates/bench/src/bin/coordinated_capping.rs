@@ -54,6 +54,7 @@ struct SweepOutput {
 
 fn main() {
     let harness = Harness::from_env();
+    harness.args.reject_unhonoured_flags(&[]);
     let jobs = harness.args.jobs_or_auto();
     if harness.args.grid.is_some() {
         // This bin's per-budget deltas assume the historical fixed grid;

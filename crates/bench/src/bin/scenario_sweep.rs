@@ -82,6 +82,7 @@ struct ScenarioOutput {
 
 fn main() {
     let harness = Harness::from_env();
+    harness.args.reject_unhonoured_flags(&[]);
     let jobs = harness.args.jobs_or_auto();
     let mut exp = harness.experiment();
 

@@ -44,8 +44,10 @@ pub struct BenchArgs {
     /// `actor_core::telemetry::JsonlSink`). `None` = telemetry off.
     pub trace: Option<String>,
     /// `--processes N`: run the sweep on N local worker *processes*
-    /// through the cluster daemon (sweep binaries; each worker is
-    /// CPU-pinned when `taskset` is available). Overrides `--jobs`.
+    /// through the cluster daemon (`cluster_sweep` and `cluster_power_cap`;
+    /// each worker is CPU-pinned when `taskset` is available). Overrides
+    /// `--jobs`. Every other sweep, daemon or worker binary exits 2 on it
+    /// (see [`BenchArgs::reject_unhonoured_flags`]).
     pub processes: Option<usize>,
     /// `--serve PATH`: daemon mode — bind the Unix socket at `PATH` and
     /// accept external `cluster_worker` processes (`cluster_daemon` bin).
@@ -127,6 +129,33 @@ impl BenchArgs {
             }
         }
         Ok(out)
+    }
+
+    /// Exits with status 2 when a distributed-mode flag (`--processes`,
+    /// `--serve`, `--connect`) was given that this binary does not honour,
+    /// naming the flag and the binaries that do: a sweep asked for worker
+    /// processes must not silently run on threads. `honoured` lists the
+    /// flags the calling binary implements. Call it right after parsing,
+    /// before any model build.
+    pub fn reject_unhonoured_flags(&self, honoured: &[&str]) {
+        if let Err(e) = self.unhonoured_flag(&bin_name(), honoured) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
+
+    fn unhonoured_flag(&self, bin: &str, honoured: &[&str]) -> Result<(), String> {
+        let flags = [
+            (self.processes.is_some(), "--processes", "cluster_sweep and cluster_power_cap"),
+            (self.serve.is_some(), "--serve", "cluster_daemon"),
+            (self.connect.is_some(), "--connect", "cluster_worker"),
+        ];
+        match flags.into_iter().find(|(given, flag, _)| *given && !honoured.contains(flag)) {
+            Some((_, flag, by)) => {
+                Err(format!("{bin} does not honour {flag}; it is honoured by {by}"))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Worker threads for sweep execution: the `--jobs` override, or the
@@ -402,6 +431,22 @@ mod tests {
 
         let args = parse(&["--connect", "/tmp/daemon.sock"]).unwrap();
         assert_eq!(args.connect.as_deref(), Some("/tmp/daemon.sock"));
+    }
+
+    #[test]
+    fn unhonoured_distributed_flags_name_the_bins_that_honour_them() {
+        let processes = parse(&["--fast", "--processes", "2"]).unwrap();
+        assert_eq!(processes.unhonoured_flag("cluster_sweep", &["--processes"]), Ok(()));
+        let err = processes.unhonoured_flag("scenario_sweep", &[]).unwrap_err();
+        assert!(err.contains("scenario_sweep") && err.contains("--processes"), "{err}");
+        assert!(err.contains("cluster_sweep and cluster_power_cap"), "{err}");
+        let serve = parse(&["--serve", "/tmp/daemon.sock"]).unwrap();
+        let err = serve.unhonoured_flag("cluster_sweep", &["--processes"]).unwrap_err();
+        assert!(err.contains("--serve") && err.contains("cluster_daemon"), "{err}");
+        let connect = parse(&["--connect", "/tmp/daemon.sock"]).unwrap();
+        let err = connect.unhonoured_flag("cluster_power_cap", &["--processes"]).unwrap_err();
+        assert!(err.contains("--connect") && err.contains("cluster_worker"), "{err}");
+        assert_eq!(parse(&["--fast"]).unwrap().unhonoured_flag("coordinated_capping", &[]), Ok(()));
     }
 
     #[test]

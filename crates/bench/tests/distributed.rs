@@ -5,8 +5,9 @@
 //! Complements `cluster-daemon`'s duplex tests (deterministic
 //! reassignment mechanics) with what only the bench crate can test —
 //! `CARGO_BIN_EXE_cluster_worker` exists here: byte-identity of the
-//! artefact across every execution mode, and a SIGKILLed worker process
-//! leaving the daemon serving.
+//! artefact across every execution mode, a SIGKILLed worker process
+//! leaving the daemon serving, and a sweep bin without a process mode
+//! refusing `--processes`.
 
 use std::cell::RefCell;
 use std::os::unix::net::UnixListener;
@@ -355,4 +356,19 @@ fn trace_tool_merges_a_sigkilled_run_into_one_causal_timeline() {
         String::from_utf8_lossy(&check.stderr)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sweep bin with no process mode refuses `--processes` before building
+/// any model, instead of silently running the sweep on threads.
+#[test]
+fn a_sweep_bin_without_process_mode_rejects_processes() {
+    let output = Command::new(env!("CARGO_BIN_EXE_scenario_sweep"))
+        .args(["--fast", "--processes", "2"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("scenario_sweep runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--processes"), "the error must name the flag: {stderr}");
+    assert!(output.stdout.is_empty(), "no sweep output expected");
 }

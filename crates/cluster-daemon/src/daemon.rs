@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use actor_core::telemetry::{MetricsRegistry, SharedSink, TraceEvent};
 use cluster_rpc::{server_accept, Accepted, CellOutcome, Connection, Message, SweepContext, Wire};
-use cluster_sched::{SweepCell, SweepCellOutcome, SweepRun, SweepSpec};
+use cluster_sched::{sweep_cell_event, SweepCell, SweepCellOutcome, SweepRun, SweepSpec};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::error::DaemonError;
@@ -84,21 +84,6 @@ struct WorkerState {
     conn: Arc<Connection>,
     busy: Option<SweepCell>,
     last_seen: Instant,
-}
-
-/// The mirror of `cluster_sched`'s private per-cell trace record — kept
-/// field-identical so daemon-mode JSONL traces match in-process ones.
-fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
-    let point = &outcome.cell.point;
-    TraceEvent::SweepCell {
-        index: outcome.cell.index,
-        nodes: point.nodes,
-        budget: point.budget_label.clone(),
-        policy: point.policy.clone(),
-        seed: point.seed,
-        makespan_s: outcome.report.makespan_s,
-        total_energy_j: outcome.report.total_energy_j,
-    }
 }
 
 /// Turns raw wires into handshaked connections feeding `events`: one

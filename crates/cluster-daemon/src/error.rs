@@ -52,17 +52,9 @@ impl fmt::Display for DaemonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DaemonError::Sweep(e) => write!(f, "{e}"),
-            DaemonError::Cell { cell, reason, attempts } => write!(
-                f,
-                "sweep cell {} ({} nodes, {} budget, {}, seed {}) failed after {} attempt(s): \
-                 {reason}",
-                cell.index,
-                cell.point.nodes,
-                cell.point.budget_label,
-                cell.point.policy,
-                cell.point.seed,
-                attempts,
-            ),
+            DaemonError::Cell { cell, reason, attempts } => {
+                write!(f, "{cell} failed after {attempts} attempt(s): {reason}")
+            }
             DaemonError::NoWorkers { waited_s } => {
                 write!(f, "no live workers after {waited_s:.1} s with cells still unresolved")
             }

@@ -26,7 +26,8 @@ use cluster_rpc::{
     client_handshake, CellOutcome, Connection, Message, RpcError, SweepContext, Wire,
 };
 use cluster_sched::{
-    execute_cell, mix_by_name, workload_shape_by_name, FleetModel, WorkloadSpec, MACHINE_MIX_NAMES,
+    execute_cell, mix_by_name, panic_message, workload_shape_by_name, FleetModel, WorkloadSpec,
+    MACHINE_MIX_NAMES,
 };
 use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
@@ -34,11 +35,11 @@ use parking_lot::Mutex;
 use crate::error::WorkerError;
 
 /// Ships trace events to the daemon as `TraceBatch` frames, rebatching
-/// internally: *every* entry path (`record`, `record_batch`,
-/// `record_spanned`) accumulates into one buffer that is sent as a single
-/// frame when `capacity` events gather or on flush — so no caller can
-/// regress to one frame per event. Send failures are swallowed: a dying
-/// connection surfaces in the cell loop, not in telemetry.
+/// internally: both entry paths (`record`, `record_spanned`) accumulate
+/// into one buffer that is sent as a single frame when `capacity` events
+/// gather or on flush — so no caller can regress to one frame per event.
+/// Send failures are swallowed: a dying connection surfaces in the cell
+/// loop, not in telemetry.
 struct TraceForwardSink {
     conn: Arc<Connection>,
     capacity: usize,
@@ -75,12 +76,6 @@ impl TelemetrySink for TraceForwardSink {
         self.push(std::slice::from_ref(&SpannedEvent::unspanned(event.clone())));
     }
 
-    fn record_batch(&self, events: &[TraceEvent]) {
-        let spanned: Vec<SpannedEvent> =
-            events.iter().cloned().map(SpannedEvent::unspanned).collect();
-        self.push(&spanned);
-    }
-
     fn record_spanned(&self, events: &[SpannedEvent]) {
         self.push(events);
     }
@@ -91,16 +86,6 @@ impl TelemetrySink for TraceForwardSink {
             let batch = std::mem::take(&mut *buf);
             let _ = self.conn.send(&Message::TraceBatch(batch));
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
     }
 }
 

@@ -345,7 +345,6 @@ impl<'a> Cluster<'a> {
         let mut runs: Vec<crate::node::RunningJob> = Vec::new();
         let mut idle_nodes: Vec<usize> = Vec::new();
         let mut running: Vec<RunningSummary> = Vec::new();
-        let mut node_draws: Vec<f64> = Vec::new();
         // Index over `running`: gang key → index of the *first* summary with
         // that key. With hundreds of running single-node gangs a linear
         // first-match scan per node is O(nodes × gangs) per scheduling pass —
@@ -542,19 +541,16 @@ impl<'a> Cluster<'a> {
                 }
                 running.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
                 // The observe step of the control plane at cluster level:
-                // per-node instantaneous draw. Coordinators use it to size
-                // the headroom (budget minus running draw) they
-                // redistribute across the jobs starting at this event;
-                // running jobs keep their granted caps until completion.
-                node_draws.clear();
-                node_draws.extend(self.nodes.iter().map(Node::power_draw_w));
+                // the summed per-node draw. Coordinators size the headroom
+                // (budget minus that draw) they redistribute across the
+                // jobs starting at this event; running jobs keep their
+                // granted caps until completion.
                 let ctx = SchedContext {
                     now,
                     queue: &queue,
                     idle_nodes: &idle_nodes,
                     budget_w: self.spec.power_budget_w,
                     draw_w: self.draw_w(),
-                    node_draw_w: &node_draws,
                     running: &running,
                     fleet,
                     node_gen: &self.node_gen,

@@ -8,8 +8,8 @@
 //! it is denied. [`CapCoordinator`] replaces the static split with a
 //! redistribution decided at every discrete event:
 //!
-//! 1. **Observe** — the per-node draw ([`SchedContext::node_draw_w`]) fixes
-//!    the headroom the cluster can still allocate.
+//! 1. **Observe** — the summed per-node draw ([`SchedContext::draw_w`])
+//!    fixes the headroom the cluster can still allocate.
 //! 2. **Decide** — every startable job is first planned at its *cheapest*
 //!    feasible operating point (deep DVFS + narrow concurrency, via the
 //!    shared [`ControlPlane`] and the same DCT + ladder decisions the
@@ -201,15 +201,6 @@ impl<C: PowerPerfController> CapCoordinator<C> {
         self.plane.controller()
     }
 
-    /// The headroom the coordinator observes: budget minus the summed
-    /// per-node draw (falling back to the context's aggregate when no
-    /// per-node observation is available, e.g. in hand-built contexts).
-    pub fn observed_headroom_w(ctx: &SchedContext<'_>) -> f64 {
-        let draw_w =
-            if ctx.node_draw_w.is_empty() { ctx.draw_w } else { ctx.node_draw_w.iter().sum() };
-        ctx.budget_w - draw_w
-    }
-
     /// Ensures the full feasible candidate list for this job's
     /// `(generation, benchmark, effective timesteps)` triple is cached and
     /// returns the key. Every achievable plan peak is the power of some
@@ -269,7 +260,7 @@ impl<C: PowerPerfController> CapCoordinator<C> {
     pub fn redistribute(&mut self, ctx: &SchedContext<'_>) -> Result<Vec<JobCap>, SchedError> {
         // Timestamp only when traced: the untraced path stays identical.
         let started = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-        let headroom_w = Self::observed_headroom_w(ctx);
+        let headroom_w = ctx.headroom_w();
         // Borrow dance: the scratch moves out of `self` so menu building
         // can call `ensure_candidates` (&mut self) while filling it.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -534,15 +525,14 @@ mod tests {
         queue: &'a [Job],
         idle_nodes: &'a [usize],
         budget_w: f64,
-        node_draw_w: &'a [f64],
+        node_draws: &[f64],
     ) -> SchedContext<'a> {
         SchedContext {
             now: 0.0,
             queue,
             idle_nodes,
             budget_w,
-            draw_w: node_draw_w.iter().sum(),
-            node_draw_w,
+            draw_w: node_draws.iter().sum(),
             running: &[],
             fleet,
             node_gen: &[0; 3],

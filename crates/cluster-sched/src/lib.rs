@@ -33,9 +33,11 @@
 //!   cluster-level reports as [`actor_core::report::Table`]s.
 //! * [`sweep`] — the parallel sweep engine: a [`sweep::SweepSpec`] grid
 //!   (nodes × budgets × policies × seeds, plus explicit cells) expanded
-//!   into independent cells and executed concurrently on a
-//!   [`phase_rt::ThreadPool`] against one `Arc`-shared fleet model,
-//!   with deterministic cell-ordered results.
+//!   into independent cells and executed concurrently on scoped worker
+//!   threads against one `Arc`-shared fleet model, with deterministic
+//!   cell-ordered results. Its per-cell trace record and panic text are
+//!   public, so the distributed daemon and workers report cells the same
+//!   way.
 
 pub mod cluster;
 pub mod coordinator;
@@ -68,8 +70,8 @@ pub use scenario::{
     FaultTimeline, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
 pub use sweep::{
-    default_workload, execute_cell, light_workload, quad_test_workload, run_sweep_fleet,
-    workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint, SweepRun,
-    SweepSpec, WORKLOAD_SHAPE_NAMES,
+    default_workload, execute_cell, light_workload, panic_message, quad_test_workload,
+    run_sweep_fleet, sweep_cell_event, workload_shape_by_name, SweepCell, SweepCellOutcome,
+    SweepError, SweepPoint, SweepRun, SweepSpec, WORKLOAD_SHAPE_NAMES,
 };
 pub use tables::{cluster_summary_headers, cluster_summary_row, cluster_summary_table, job_table};

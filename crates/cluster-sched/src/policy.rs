@@ -56,11 +56,6 @@ pub struct SchedContext<'a> {
     pub budget_w: f64,
     /// Current cluster draw (W): running peaks + idle floors.
     pub draw_w: f64,
-    /// Instantaneous draw per node (W), indexed by node id — what a
-    /// cluster-level coordinator observes before redistributing the budget.
-    /// Sums to `draw_w`; may be empty in hand-built test contexts, in which
-    /// case `draw_w` is authoritative.
-    pub node_draw_w: &'a [f64],
     /// Currently running jobs, ascending by finish time.
     pub running: &'a [RunningSummary],
     /// One workload model (costs + predictions) per machine generation.
@@ -523,7 +518,6 @@ mod tests {
             idle_nodes,
             budget_w,
             draw_w,
-            node_draw_w: &[],
             running,
             fleet,
             node_gen: &[0; 4],

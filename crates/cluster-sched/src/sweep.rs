@@ -1,5 +1,5 @@
 //! The parallel sweep engine: a cartesian grid of cluster experiments run
-//! concurrently on a [`phase_rt::ThreadPool`].
+//! concurrently on scoped worker threads.
 //!
 //! The cluster sweeps (`cluster_power_cap`, `coordinated_capping`, the
 //! policy-search `cluster_sweep` grid, the `scenario_sweep` hazard grids)
@@ -8,24 +8,27 @@
 //! an independent discrete-event simulation against the same immutable
 //! [`FleetModel`]. The engine expands a [`SweepSpec`] into ordered
 //! [`SweepCell`]s, shares the fleet by `Arc` (built once — thousands of
-//! cells never re-train the ANN ensembles), executes cells on a worker
-//! pool, and streams results back over a channel in completion order while
-//! preserving a deterministic *report* order: [`run_sweep_fleet`] returns
-//! outcomes sorted by cell index, so rendered CSV/JSON is bit-identical
-//! regardless of worker count or completion order
-//! (`actor_core::report::StreamingReporter` is the matching presentation
-//! adapter).
+//! cells never re-train the ANN ensembles), lets `jobs` scoped workers
+//! claim cells in index order, and streams results back over a channel to
+//! the calling thread in completion order while preserving a deterministic
+//! *report* order: [`run_sweep_fleet`] returns outcomes sorted by cell
+//! index, so rendered CSV/JSON is bit-identical regardless of worker count
+//! or completion order (`actor_core::report::StreamingReporter` is the
+//! matching presentation adapter).
 //!
-//! Worker panics do not poison the engine: the pool catches the unwind at
-//! the job boundary and the sweep join surfaces it as
-//! [`phase_rt::RtError::WorkerPanicked`] inside [`SweepError::Pool`].
+//! A panicking cell does not poison the engine: its worker catches the
+//! unwind at the cell boundary, carries on with the next cell, and the
+//! sweep surfaces the lowest-index panic as [`SweepError::Panicked`].
 
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
 use actor_core::telemetry::{SharedSink, TraceEvent};
-use phase_rt::{RtError, ThreadPool};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{simulate_fleet, ClusterReport, ClusterSpec};
@@ -134,6 +137,19 @@ pub struct SweepCell {
     pub index: usize,
     /// The grid point.
     pub point: SweepPoint,
+}
+
+/// The description every cell error, in-process or distributed, starts
+/// with: the cell's index and grid coordinates.
+impl fmt::Display for SweepCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &self.point;
+        write!(
+            f,
+            "sweep cell {} ({} nodes, {} budget, {}, machines {}, faults {}, arrivals {}, seed {})",
+            self.index, p.nodes, p.budget_label, p.policy, p.machines, p.faults, p.arrivals, p.seed
+        )
+    }
 }
 
 /// A cartesian sweep grid plus explicit extra cells.
@@ -595,9 +611,7 @@ impl SweepRun {
     }
 }
 
-/// Sweep failures: an invalid grid, a failing cell, or a pool-level fault
-/// (including a panicking worker job, surfaced as
-/// [`RtError::WorkerPanicked`]).
+/// Sweep failures: an invalid grid, a failing cell, or a panicking cell.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SweepError {
@@ -613,43 +627,32 @@ pub enum SweepError {
         /// Why it failed.
         source: ClusterError,
     },
-    /// The worker pool failed (shutdown, or a panicking cell job).
-    Pool(RtError),
+    /// A cell panicked; the lowest-index panic is reported, ahead of any
+    /// [`SweepError::Cell`] failure.
+    Panicked {
+        /// The panicking cell.
+        cell: Box<SweepCell>,
+        /// The panic text ([`panic_message`]).
+        message: String,
+    },
 }
 
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SweepError::InvalidGrid { reason } => write!(f, "invalid sweep grid: {reason}"),
-            SweepError::Cell { cell, source } => write!(
-                f,
-                "sweep cell {} ({} nodes, {} budget, {}, machines {}, faults {}, arrivals {}, \
-                 seed {}) failed: {source}",
-                cell.index,
-                cell.point.nodes,
-                cell.point.budget_label,
-                cell.point.policy,
-                cell.point.machines,
-                cell.point.faults,
-                cell.point.arrivals,
-                cell.point.seed
-            ),
-            SweepError::Pool(e) => write!(f, "sweep worker pool failed: {e}"),
+            SweepError::Cell { cell, source } => write!(f, "{cell} failed: {source}"),
+            SweepError::Panicked { cell, message } => write!(f, "{cell} panicked: {message}"),
         }
     }
 }
 
 impl std::error::Error for SweepError {}
 
-impl From<RtError> for SweepError {
-    fn from(e: RtError) -> Self {
-        SweepError::Pool(e)
-    }
-}
-
 /// The per-cell trace record: the cell's grid coordinates plus the two
-/// headline results every downstream aggregation starts from.
-fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
+/// headline results every downstream aggregation starts from. The sweep
+/// join and the distributed daemon both emit it, so their traces match.
+pub fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
     let point = &outcome.cell.point;
     TraceEvent::SweepCell {
         index: outcome.cell.index,
@@ -659,6 +662,19 @@ fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
         seed: point.seed,
         makespan_s: outcome.report.makespan_s,
         total_energy_j: outcome.report.total_energy_j,
+    }
+}
+
+/// Renders a caught panic payload (panics usually carry a `&str` or
+/// `String` message) — the text both the sweep and the distributed worker
+/// report for a panicking cell.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -721,27 +737,25 @@ pub fn execute_cell(
     simulate_fleet(&cluster_spec, fleet, policy.as_mut(), telemetry.cloned())
 }
 
-/// Runs one cell against the shared fleet.
-fn run_cell(
-    fleet: &FleetModel,
-    spec: &SweepSpec,
-    cell: &SweepCell,
-    telemetry: Option<&SharedSink>,
-) -> Result<ClusterReport, ClusterError> {
-    execute_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry)
-}
-
 /// Executes every cell of `spec` against the shared `fleet` on `jobs`
-/// worker threads (1 = in-line serial execution, no pool).
+/// scoped worker threads (at least one).
 ///
-/// `on_cell(outcome, done, total)` streams results in *completion* order as
-/// they arrive — progress narration, incremental CSV rows. With a telemetry
-/// sink, every worker traces its cells' cluster events and controller
-/// decisions through it, and one [`TraceEvent::SweepCell`] per completed
-/// cell is emitted from the join side, in completion order. The returned
-/// [`SweepRun`] is always sorted by cell index, so anything rendered from
-/// it is bit-identical across worker counts; pair with
+/// Workers claim cells in index order from one shared cursor and send each
+/// result to the calling thread, which owns all output: `on_cell(outcome,
+/// done, total)` streams successes in *completion* order as they arrive —
+/// progress narration, incremental CSV rows — where `done` counts every
+/// finished cell, failed or panicked ones included. With a telemetry sink,
+/// every worker traces its cells' cluster events and controller decisions
+/// through it, and the calling thread emits one [`TraceEvent::SweepCell`]
+/// per completed cell, in completion order. The returned [`SweepRun`] is
+/// always sorted by cell index, so anything rendered from it is
+/// bit-identical across worker counts; pair with
 /// `actor_core::report::StreamingReporter` for the presentation side.
+///
+/// Every cell runs even when some fail: a panicking cell is caught at the
+/// cell boundary and reported as [`SweepError::Panicked`] (lowest index
+/// first), which takes precedence over the lowest-index
+/// [`SweepError::Cell`] failure.
 ///
 /// The fleet is `Arc`-shared immutably: one ANN training pass per
 /// generation serves every cell, and each cell constructs its own policy
@@ -759,91 +773,65 @@ pub fn run_sweep_fleet(
     spec.validate()?;
     let cells = spec.expand();
     let total = cells.len();
+    let jobs = jobs.max(1);
     let started = Instant::now();
 
     let mut outcomes: Vec<SweepCellOutcome> = Vec::with_capacity(total);
-    let mut failures: Vec<(SweepCell, ClusterError)> = Vec::new();
-
-    if jobs <= 1 {
-        for cell in cells {
-            // Same panic semantics as the pooled path: a panicking cell is
-            // contained and surfaced as WorkerPanicked, not an unwind
-            // through the caller.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_cell(fleet, spec, &cell, telemetry.as_ref())
-            }));
-            match result {
-                Ok(Ok(report)) => {
-                    let outcome = SweepCellOutcome { cell, report };
-                    if let Some(sink) = &telemetry {
-                        sink.record(&sweep_cell_event(&outcome));
-                    }
-                    on_cell(&outcome, outcomes.len() + 1, total);
-                    outcomes.push(outcome);
-                }
-                Ok(Err(e)) => failures.push((cell, e)),
-                Err(payload) => {
-                    return Err(SweepError::Pool(RtError::WorkerPanicked {
-                        message: format!(
-                            "sweep cell {} panicked: {}",
-                            cell.index,
-                            phase_rt::pool::panic_message(payload.as_ref())
-                        ),
-                    }))
-                }
-            }
-        }
-    } else {
-        let pool = ThreadPool::new(jobs)?;
+    let mut failures: Vec<(usize, ClusterError)> = Vec::new();
+    let mut panics: Vec<(usize, String)> = Vec::new();
+    // The cursor only hands out distinct indices (`Relaxed` suffices):
+    // `cells` is complete before any worker spawns, and results return
+    // over the channel.
+    let next = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        // The receiver lives in this closure, so a panicking `on_cell`
+        // drops it on the way out and the workers stop at their next send.
         let (tx, rx) = crossbeam::channel::unbounded();
-        let shared_spec = Arc::new(spec.clone());
-        for cell in cells {
-            let fleet = Arc::clone(fleet);
-            let spec = Arc::clone(&shared_spec);
-            let tx = tx.clone();
-            let telemetry = telemetry.clone();
-            pool.execute(move || {
-                let result = run_cell(&fleet, &spec, &cell, telemetry.as_ref());
-                // A send failure means the join loop is gone; nothing to do.
-                let _ = tx.send((cell, result));
-            })?;
+        for _ in 0..jobs {
+            let (tx, cells, next, telemetry) = (tx.clone(), &cells, &next, telemetry.as_ref());
+            scope.spawn(move || {
+                while let Some(cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        execute_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry)
+                    }));
+                    let result = result.map_err(|payload| panic_message(payload.as_ref()));
+                    // A send failure means the join loop is gone; stop.
+                    if tx.send((cell.index, result)).is_err() {
+                        break;
+                    }
+                }
+            });
         }
-        // The join loop holds no sender: when every job has sent (or
-        // panicked, dropping its sender mid-unwind), the channel
-        // disconnects and `recv` returns Err instead of hanging.
+        // The join loop holds no sender: once every worker has run out of
+        // cells, the channel disconnects and the loop ends.
         drop(tx);
         let mut done = 0usize;
-        while let Ok((cell, result)) = rx.recv() {
+        while let Ok((index, result)) = rx.recv() {
             done += 1;
             match result {
-                Ok(report) => {
-                    let outcome = SweepCellOutcome { cell, report };
+                Ok(Ok(report)) => {
+                    let outcome = SweepCellOutcome { cell: cells[index].clone(), report };
                     if let Some(sink) = &telemetry {
                         sink.record(&sweep_cell_event(&outcome));
                     }
                     on_cell(&outcome, done, total);
                     outcomes.push(outcome);
                 }
-                Err(e) => failures.push((cell, e)),
+                Ok(Err(source)) => failures.push((index, source)),
+                Err(message) => panics.push((index, message)),
             }
         }
-        pool.wait_idle();
-        if pool.panicked() > 0 {
-            return Err(SweepError::Pool(RtError::WorkerPanicked {
-                message: format!(
-                    "{} sweep cell(s) panicked; last: {}",
-                    pool.panicked(),
-                    pool.last_panic().unwrap_or_else(|| "unknown".into())
-                ),
-            }));
-        }
-    }
+    });
 
-    if let Some((cell, source)) = failures.into_iter().min_by_key(|(cell, _)| cell.index) {
-        return Err(SweepError::Cell { cell: Box::new(cell), source });
+    let cell = |index: usize| Box::new(cells[index].clone());
+    if let Some((index, message)) = panics.into_iter().min_by_key(|(index, _)| *index) {
+        return Err(SweepError::Panicked { cell: cell(index), message });
+    }
+    if let Some((index, source)) = failures.into_iter().min_by_key(|(index, _)| *index) {
+        return Err(SweepError::Cell { cell: cell(index), source });
     }
     outcomes.sort_by_key(|o| o.cell.index);
-    Ok(SweepRun { outcomes, jobs: jobs.max(1), wall_clock_s: started.elapsed().as_secs_f64() })
+    Ok(SweepRun { outcomes, jobs, wall_clock_s: started.elapsed().as_secs_f64() })
 }
 
 #[cfg(test)]

@@ -531,17 +531,6 @@ pub trait TelemetrySink: Send + Sync {
         self.record(&event);
     }
 
-    /// Accepts a batch of events in order.
-    ///
-    /// The default forwards to [`TelemetrySink::record`] per event; sinks
-    /// with per-call locking override it to take their lock once per batch.
-    /// The cluster daemon ingests worker `TraceBatch` frames with it.
-    fn record_batch(&self, events: &[TraceEvent]) {
-        for event in events {
-            self.record(event);
-        }
-    }
-
     /// Accepts a batch of span-stamped events in order.
     ///
     /// This is the path causal traces travel: a [`SpanSink`] stamps events
@@ -570,8 +559,6 @@ impl TelemetrySink for NullSink {
     fn record(&self, _event: &TraceEvent) {}
 
     fn record_owned(&self, _event: TraceEvent) {}
-
-    fn record_batch(&self, _events: &[TraceEvent]) {}
 
     fn record_spanned(&self, _events: &[SpannedEvent]) {}
 }
@@ -625,11 +612,6 @@ impl TelemetrySink for MemorySink {
 
     fn record_owned(&self, event: TraceEvent) {
         self.events.lock().push(SpannedEvent::unspanned(event));
-    }
-
-    fn record_batch(&self, events: &[TraceEvent]) {
-        let mut buf = self.events.lock();
-        buf.extend(events.iter().cloned().map(SpannedEvent::unspanned));
     }
 
     fn record_spanned(&self, events: &[SpannedEvent]) {
@@ -705,14 +687,6 @@ impl TelemetrySink for JsonlSink {
         self.write_line(&mut out, &line);
     }
 
-    fn record_batch(&self, events: &[TraceEvent]) {
-        let mut out = self.out.lock();
-        for event in events {
-            let line = serde_json::to_string(event).expect("trace events always serialize");
-            self.write_line(&mut out, &line);
-        }
-    }
-
     fn record_spanned(&self, events: &[SpannedEvent]) {
         let mut out = self.out.lock();
         for event in events {
@@ -758,12 +732,6 @@ impl TelemetrySink for FanoutSink {
     fn record(&self, event: &TraceEvent) {
         for sink in &self.sinks {
             sink.record(event);
-        }
-    }
-
-    fn record_batch(&self, events: &[TraceEvent]) {
-        for sink in &self.sinks {
-            sink.record_batch(events);
         }
     }
 
@@ -1063,10 +1031,6 @@ impl TelemetrySink for MetricsRegistry {
         }
     }
 
-    fn record_batch(&self, events: &[TraceEvent]) {
-        self.aggregate(events.iter());
-    }
-
     fn record_spanned(&self, events: &[SpannedEvent]) {
         // Aggregation ignores spans.
         self.aggregate(events.iter().map(|event| &event.event));
@@ -1253,20 +1217,35 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_default_and_overrides_agree() {
-        let events = vec![decision(10), decision(20)];
+    fn record_spanned_default_and_overrides_agree() {
+        let events: Vec<SpannedEvent> =
+            [decision(10), decision(20)].into_iter().map(SpannedEvent::unspanned).collect();
+        // The registry's batch aggregation matches one `record` per event.
         let reg = MetricsRegistry::new();
-        reg.record_batch(&events);
+        reg.record_spanned(&events);
         assert_eq!(reg.counter("decision"), 2);
         assert_eq!(reg.histogram("decision_latency_ns").unwrap().count, 2);
+        let one_by_one = MetricsRegistry::new();
+        for event in &events {
+            one_by_one.record(&event.event);
+        }
+        assert_eq!(reg.render_text(), one_by_one.render_text());
 
         let mem = Arc::new(MemorySink::new());
         let fan = FanoutSink::new(vec![mem.clone()]);
-        fan.record_batch(&events);
-        assert_eq!(mem.len(), 2);
+        fan.record_spanned(&events);
+        assert_eq!(mem.spanned_events(), events);
 
-        // The default implementation (NullSink has no override) still works.
-        NullSink.record_batch(&events);
+        // The default implementation forwards each bare event to `record`.
+        struct Count(Mutex<usize>);
+        impl TelemetrySink for Count {
+            fn record(&self, _event: &TraceEvent) {
+                *self.0.lock() += 1;
+            }
+        }
+        let count = Count(Mutex::new(0));
+        count.record_spanned(&events);
+        assert_eq!(*count.0.lock(), 2);
     }
 
     #[test]
@@ -1390,7 +1369,8 @@ mod tests {
         sink.record(&decision(1));
         sink.set_cell(Some(3));
         sink.record(&decision(2));
-        sink.record_batch(&[decision(3), decision(4)]);
+        sink.record(&decision(3));
+        sink.record(&decision(4));
         sink.set_cell(None);
         sink.record(&decision(5));
         // A foreign, already-stamped event passes through untouched.
@@ -1403,7 +1383,7 @@ mod tests {
         sink.record_spanned(&[foreign.clone(), SpannedEvent::unspanned(decision(7))]);
 
         let got = mem.spanned_events();
-        // 5 stamped singles/batches + 1 foreign + the 2-event mixed batch.
+        // 5 stamped singles + 1 foreign + the 2-event mixed batch.
         assert_eq!(got.len(), 8);
         let own: Vec<&SpannedEvent> =
             got.iter().filter(|e| e.span.as_ref().unwrap().source == "worker-1").collect();
@@ -1485,7 +1465,9 @@ mod tests {
     fn ring_sink_drop_drains_the_remainder() {
         let mem = Arc::new(MemorySink::new());
         let ring = RingSink::new(mem.clone());
-        ring.record_batch(&[decision(1), decision(2), decision(3)]);
+        for i in 1..=3 {
+            ring.record(&decision(i));
+        }
         drop(ring);
         assert_eq!(mem.len(), 3, "drop delivers buffered events synchronously");
     }

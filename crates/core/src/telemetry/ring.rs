@@ -406,12 +406,6 @@ impl TelemetrySink for RingSink {
         self.push_with(|| SpannedEvent::unspanned(event));
     }
 
-    fn record_batch(&self, events: &[TraceEvent]) {
-        for event in events {
-            self.push_with(|| SpannedEvent::unspanned(event.clone()));
-        }
-    }
-
     fn record_spanned(&self, events: &[SpannedEvent]) {
         for event in events {
             self.push_with(|| event.clone());

@@ -176,11 +176,6 @@ impl TelemetrySink for SpanSink {
         self.inner.record_spanned(std::slice::from_ref(&self.stamp(event)));
     }
 
-    fn record_batch(&self, events: &[TraceEvent]) {
-        let batch: Vec<SpannedEvent> = events.iter().map(|e| self.stamp(e)).collect();
-        self.inner.record_spanned(&batch);
-    }
-
     fn record_spanned(&self, events: &[SpannedEvent]) {
         if events.iter().all(|e| e.span.is_some()) {
             // Foreign spans (e.g. a worker's) are already complete; do not

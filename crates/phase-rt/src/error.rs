@@ -26,8 +26,6 @@ pub enum RtError {
         /// The duplicated core.
         core: usize,
     },
-    /// The thread pool has been shut down and cannot accept work.
-    PoolShutDown,
     /// A loop schedule was configured with an invalid chunk size.
     InvalidChunk {
         /// The rejected chunk size.
@@ -40,13 +38,6 @@ pub enum RtError {
         step: usize,
         /// Number of steps in the ladder.
         ladder_len: usize,
-    },
-    /// A pool job panicked. The worker thread survives (the pool catches the
-    /// unwind at the job boundary, so the pending-count/idle protocol stays
-    /// sound) and the panic is surfaced to whoever joins the job's result.
-    WorkerPanicked {
-        /// The panic payload, if it was a string (the common case).
-        message: String,
     },
 }
 
@@ -63,13 +54,9 @@ impl fmt::Display for RtError {
             RtError::DuplicateCore { core } => {
                 write!(f, "core {core} bound more than once")
             }
-            RtError::PoolShutDown => write!(f, "thread pool has been shut down"),
             RtError::InvalidChunk { chunk } => write!(f, "invalid chunk size {chunk}"),
             RtError::InvalidFreqStep { step, ladder_len } => {
                 write!(f, "DVFS step {step} out of range (ladder has {ladder_len} steps)")
-            }
-            RtError::WorkerPanicked { message } => {
-                write!(f, "pool job panicked: {message}")
             }
         }
     }
@@ -87,11 +74,8 @@ mod tests {
         assert!(RtError::TooManyThreads { requested: 8, maximum: 4 }.to_string().contains("8"));
         assert!(RtError::InvalidCore { core: 5, num_cores: 4 }.to_string().contains("core 5"));
         assert!(RtError::DuplicateCore { core: 1 }.to_string().contains("core 1"));
-        assert!(RtError::PoolShutDown.to_string().contains("shut down"));
         assert!(RtError::InvalidChunk { chunk: 0 }.to_string().contains("0"));
         let e = RtError::InvalidFreqStep { step: 4, ladder_len: 4 };
         assert!(e.to_string().contains("step 4") && e.to_string().contains("4 steps"));
-        let e = RtError::WorkerPanicked { message: "boom".into() };
-        assert!(e.to_string().contains("panicked") && e.to_string().contains("boom"));
     }
 }

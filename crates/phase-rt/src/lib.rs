@@ -4,7 +4,7 @@
 //! paper's *phase*) calls into the runtime at its beginning and end, and the
 //! runtime decides *how many threads* execute the region and *which cores*
 //! they are bound to. This crate is that runtime substrate, built from
-//! scratch on `std` scoped threads, `crossbeam` and `parking_lot`:
+//! scratch on `std` scoped threads and `parking_lot`:
 //!
 //! * [`affinity`] — thread-to-core bindings mirroring the paper's
 //!   configurations (packed/tightly-coupled vs. spread/loosely-coupled);
@@ -13,8 +13,6 @@
 //! * [`schedule`] — OpenMP-style loop schedulers (static, dynamic, guided)
 //!   and `parallel_for`;
 //! * [`barrier`] — a sense-reversing spin barrier usable inside regions;
-//! * [`pool`] — a persistent worker pool for asynchronous background jobs
-//!   (model training, logging) so they never interfere with region timing;
 //! * [`region`] — phase identifiers and the [`region::RegionListener`] hook
 //!   ACTOR implements to observe and throttle phases;
 //! * [`stats`] — per-phase execution statistics.
@@ -35,7 +33,6 @@
 pub mod affinity;
 pub mod barrier;
 pub mod error;
-pub mod pool;
 pub mod region;
 pub mod schedule;
 pub mod stats;
@@ -44,7 +41,6 @@ pub mod team;
 pub use affinity::{Binding, FreqStep, MachineShape};
 pub use barrier::SpinBarrier;
 pub use error::RtError;
-pub use pool::{JobHandle, ThreadPool};
 pub use region::{PhaseId, RegionEvent, RegionListener};
 pub use schedule::{ChunkQueue, LoopSchedule};
 pub use stats::{PhaseStats, RuntimeStats};
@@ -55,7 +51,6 @@ pub mod prelude {
     pub use crate::affinity::{Binding, FreqStep, MachineShape};
     pub use crate::barrier::SpinBarrier;
     pub use crate::error::RtError;
-    pub use crate::pool::{JobHandle, ThreadPool};
     pub use crate::region::{PhaseId, RegionEvent, RegionListener};
     pub use crate::schedule::{ChunkQueue, LoopSchedule};
     pub use crate::stats::{PhaseStats, RuntimeStats};

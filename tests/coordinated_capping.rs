@@ -68,17 +68,15 @@ proptest! {
             .map(|(i, &b)| job(i, b, [1, 2, 4][width_picks[i]]))
             .collect();
         let idle_nodes: Vec<usize> = (0..idle_count).collect();
-        let node_draw_w: Vec<f64> = (0..NODES)
+        let draw_w: f64 = (0..NODES)
             .map(|i| if i < idle_count { idle_w } else { idle_w + busy_extra[i] })
-            .collect();
-        let draw_w: f64 = node_draw_w.iter().sum();
+            .sum();
         let ctx = SchedContext {
             now: 0.0,
             queue: &queue,
             idle_nodes: &idle_nodes,
             budget_w: draw_w + headroom,
             draw_w,
-            node_draw_w: &node_draw_w,
             running: &[],
             fleet,
             node_gen: &[0; NODES],

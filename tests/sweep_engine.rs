@@ -2,9 +2,9 @@
 //! worker counts (proptest over random grids), byte-identity of the
 //! migrated `cluster_power_cap` sweep against the pre-migration inline
 //! loop at every default budget, failure surfacing (failing cells and
-//! panicking cells), and the measured-speedup acceptance checks (thread
-//! pool and daemon dispatch), which self-skip loudly at runtime on
-//! machines without at least 4 real cores.
+//! panicking cells), and the measured-speedup acceptance checks (scoped
+//! sweep workers and daemon dispatch), which self-skip loudly at runtime
+//! on machines without at least 4 real cores.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -207,11 +207,11 @@ fn failing_cells_surface_with_their_identity() {
     }
 }
 
-/// A panicking cell job must not poison the engine: the pool catches the
-/// unwind at the job boundary (the pending-count/idle protocol survives)
-/// and the sweep join reports `RtError::WorkerPanicked`.
+/// A panicking cell must not poison the engine: its worker catches the
+/// unwind at the cell boundary and the sweep reports the lowest-index
+/// panicking cell as `SweepError::Panicked`, with the panic text.
 #[test]
-fn panicking_cells_surface_as_worker_panicked() {
+fn panicking_cells_surface_as_panicked() {
     fn exploding_workload(_nodes: usize) -> WorkloadSpec {
         panic!("deliberate workload-shape panic")
     }
@@ -225,13 +225,55 @@ fn panicking_cells_surface_as_worker_panicked() {
     };
     for jobs in [1, 4] {
         match run_sweep_fleet(&spec, fleet(), jobs, None, |_, _, _| {}) {
-            Err(SweepError::Pool(phase_rt::RtError::WorkerPanicked { message })) => {
+            Err(SweepError::Panicked { cell, message }) => {
+                assert_eq!(cell.index, 0, "jobs={jobs}: lowest-index panic wins");
                 assert!(
                     message.contains("deliberate workload-shape panic"),
                     "jobs={jobs}: panic message lost: {message:?}"
                 );
             }
-            other => panic!("jobs={jobs}: expected WorkerPanicked, got {other:?}"),
+            other => panic!("jobs={jobs}: expected Panicked, got {other:?}"),
+        }
+    }
+}
+
+/// One panicking cell does not stop the sweep at any worker count: the
+/// cells around it still run and stream, `done` counts the panicked cell,
+/// and the sweep then reports it as `SweepError::Panicked`.
+#[test]
+fn a_panicking_cell_does_not_stop_the_other_cells() {
+    fn two_node_panic(nodes: usize) -> WorkloadSpec {
+        if nodes == 2 {
+            panic!("deliberate panic on the 2-node cell");
+        }
+        test_workload(nodes)
+    }
+    let spec = SweepSpec {
+        nodes: vec![1, 2, 4],
+        budgets: vec![("ample".into(), 1.0)],
+        policies: vec!["fcfs".into()],
+        seeds: vec![1],
+        workload: two_node_panic,
+        ..SweepSpec::default()
+    };
+    for jobs in [1, 4] {
+        let mut streamed = Vec::new();
+        let result = run_sweep_fleet(&spec, fleet(), jobs, None, |outcome, done, total| {
+            assert_eq!(total, 3);
+            streamed.push((outcome.cell.index, done));
+        });
+        if jobs == 1 {
+            assert_eq!(streamed, [(0, 1), (2, 3)], "one worker runs the cells in order");
+        }
+        let mut indices: Vec<usize> = streamed.iter().map(|&(index, _)| index).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, [0, 2], "jobs={jobs}: cells 0 and 2 must both stream");
+        match result {
+            Err(SweepError::Panicked { cell, message }) => {
+                assert_eq!((cell.index, cell.point.nodes), (1, 2), "jobs={jobs}");
+                assert!(message.contains("deliberate panic on the 2-node cell"), "{message:?}");
+            }
+            other => panic!("jobs={jobs}: expected Panicked for cell 1, got {other:?}"),
         }
     }
 }
@@ -294,7 +336,7 @@ fn sweep_speedup_with_parallel_workers() {
 /// The same acceptance through the distributed path: a daemon dispatching
 /// to N in-memory duplex workers (the `--processes` engine without the
 /// per-process model retraining) still beats serial on a ~1000-cell grid,
-/// and stays byte-identical. The floor is looser than the thread-pool
+/// and stays byte-identical. The floor is looser than the in-process
 /// one — every cell result crosses the RPC wire.
 #[test]
 fn distributed_dispatch_speedup_over_serial() {
