@@ -1,9 +1,10 @@
 //! The worker runtime: handshake, heartbeat, model rebuild, cell loop.
 //!
-//! A worker is a thin shell around [`cluster_sched::execute_cell`] — the
-//! same function every in-process sweep thread runs — so a cell computes
-//! the identical [`cluster_sched::ClusterReport`] no matter which side of
-//! the socket it runs on. The only worker-specific machinery is the
+//! A worker is a thin shell around [`cluster_sched::run_cell`] — the same
+//! cell boundary every in-process sweep thread runs — so a cell computes
+//! the identical [`cluster_sched::ClusterReport`], contains a panic the same
+//! way and stamps its events with the same cell index, no matter which
+//! side of the socket it runs on. The only worker-specific machinery is the
 //! heartbeat thread (started *before* model training, which takes seconds
 //! and must not read as death) and the telemetry pipeline: a
 //! [`SpanSink`] stamps every event with the wire-carried run id, the
@@ -25,10 +26,7 @@ use actor_core::telemetry::{
 use cluster_rpc::{
     client_handshake, CellOutcome, Connection, Message, RpcError, SweepContext, Wire,
 };
-use cluster_sched::{
-    execute_cell, mix_by_name, panic_message, workload_shape_by_name, FleetModel, WorkloadSpec,
-    MACHINE_MIX_NAMES,
-};
+use cluster_sched::{mix_by_name, run_cell, workload_shape_by_name, FleetModel, MACHINE_MIX_NAMES};
 use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
@@ -85,27 +83,6 @@ impl TelemetrySink for TraceForwardSink {
         if !buf.is_empty() {
             let batch = std::mem::take(&mut *buf);
             let _ = self.conn.send(&Message::TraceBatch(batch));
-        }
-    }
-}
-
-/// Executes one assigned cell, containing panics: the daemon gets a typed
-/// [`CellOutcome`] either way, never a dead worker from a bad cell.
-fn run_one_cell(
-    fleet: &FleetModel,
-    workload: fn(usize) -> WorkloadSpec,
-    max_node_w: f64,
-    cell: &cluster_sched::SweepCell,
-    telemetry: Option<&SharedSink>,
-) -> CellOutcome {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_cell(fleet, workload, max_node_w, cell, telemetry)
-    }));
-    match result {
-        Ok(Ok(report)) => CellOutcome::Completed(report),
-        Ok(Err(e)) => CellOutcome::Failed { reason: e.to_string(), panicked: false },
-        Err(payload) => {
-            CellOutcome::Failed { reason: panic_message(payload.as_ref()), panicked: true }
         }
     }
 }
@@ -232,13 +209,16 @@ fn worker_loop(
     loop {
         match conn.recv()? {
             Message::AssignCell(cell) => {
-                if let Some(span) = &span {
-                    span.set_cell(Some(cell.index as u64));
-                }
+                // A panicking cell is a typed outcome, not a dead worker.
                 let outcome =
-                    run_one_cell(&fleet, workload, ctx.max_node_w, &cell, telemetry.as_ref());
+                    match run_cell(&fleet, workload, ctx.max_node_w, &cell, telemetry.as_ref()) {
+                        Ok(Ok(report)) => CellOutcome::Completed(report),
+                        Ok(Err(e)) => {
+                            CellOutcome::Failed { reason: e.to_string(), panicked: false }
+                        }
+                        Err(reason) => CellOutcome::Failed { reason, panicked: true },
+                    };
                 if let Some(span) = &span {
-                    span.set_cell(None);
                     // Trace frames precede the result: once the daemon
                     // sees the CellResult, the cell's telemetry is fully
                     // delivered.
@@ -477,9 +457,10 @@ mod tests {
         let peer = Connection::new(Box::new(theirs)).unwrap();
         let forward: SharedSink = Arc::new(TraceForwardSink::with_capacity(conn, 64));
         let span = SpanSink::new(forward.clone(), 99, "w-test");
-        span.set_cell(Some(5));
-        span.record(&progress(0));
-        span.record(&progress(1));
+        actor_core::telemetry::with_cell(5, || {
+            span.record(&progress(0));
+            span.record(&progress(1));
+        });
         span.flush();
 
         match peer.recv().unwrap() {

@@ -9,7 +9,7 @@
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use actor_core::config::ActorConfig;
@@ -427,17 +427,59 @@ fn a_workerless_daemon_gives_up_after_the_configured_wait() {
     }
 }
 
-/// A daemon-side wire that counts every byte the daemon reads through it
-/// (clones share the count).
+/// Splits a byte stream into protocol frames — a little-endian `u32`
+/// payload length, then the JSON [`Message`] — and names each one.
+#[derive(Default)]
+struct FrameSplitter {
+    pending: Vec<u8>,
+}
+
+impl FrameSplitter {
+    /// Takes bytes read off the stream; returns the kind of every frame
+    /// they complete.
+    fn push(&mut self, bytes: &[u8]) -> Vec<&'static str> {
+        self.pending.extend_from_slice(bytes);
+        let mut kinds = Vec::new();
+        while let Some(header) = self.pending.first_chunk::<4>() {
+            let end = 4 + u32::from_le_bytes(*header) as usize;
+            if self.pending.len() < end {
+                break;
+            }
+            let text = std::str::from_utf8(&self.pending[4..end]).expect("frames are UTF-8 JSON");
+            let message: Message = serde_json::from_str(text).expect("every frame decodes");
+            kinds.push(message.kind());
+            self.pending.drain(..end);
+        }
+        kinds
+    }
+}
+
+/// A daemon-side wire that splits what the daemon reads through it into
+/// frames and counts them, and the `TraceBatch` frames among them. Clones
+/// share the stream's splitter (only a connection's reader half reads) and
+/// the counts.
 struct CountingWire {
     inner: Box<dyn Wire>,
-    read: Arc<AtomicU64>,
+    splitter: Arc<Mutex<FrameSplitter>>,
+    counts: Arc<FrameCounts>,
+}
+
+/// Frames the daemon read, over every counted connection.
+#[derive(Default)]
+struct FrameCounts {
+    frames: AtomicU64,
+    trace_batches: AtomicU64,
 }
 
 impl Read for CountingWire {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.read.fetch_add(n as u64, Ordering::Relaxed);
+        for kind in self.splitter.lock().unwrap().push(&buf[..n]) {
+            self.counts.frames.fetch_add(1, Ordering::Relaxed);
+            if kind == "TraceBatch" {
+                self.counts.trace_batches.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         Ok(n)
     }
 }
@@ -455,7 +497,11 @@ impl Write for CountingWire {
 impl Wire for CountingWire {
     fn try_clone_wire(&self) -> io::Result<Box<dyn Wire>> {
         let inner = self.inner.try_clone_wire()?;
-        Ok(Box::new(CountingWire { inner, read: Arc::clone(&self.read) }))
+        Ok(Box::new(CountingWire {
+            inner,
+            splitter: Arc::clone(&self.splitter),
+            counts: Arc::clone(&self.counts),
+        }))
     }
 
     fn shutdown_wire(&self) -> io::Result<()> {
@@ -464,15 +510,19 @@ impl Wire for CountingWire {
 }
 
 /// Serves `spec` to two duplex workers through counting wires, returning
-/// the run and the bytes the daemon read.
-fn serve_counted(spec: &SweepSpec, telemetry: Option<SharedSink>) -> (DistRun, u64) {
-    let read = Arc::new(AtomicU64::new(0));
+/// the run and the frames the daemon read.
+fn serve_counted(spec: &SweepSpec, telemetry: Option<SharedSink>) -> (DistRun, Arc<FrameCounts>) {
+    let counts = Arc::new(FrameCounts::default());
     let (conn_tx, conn_rx) = unbounded();
     let workers: Vec<_> = ["count-1", "count-2"]
         .into_iter()
         .map(|name| {
             let (daemon_side, worker_side) = duplex();
-            let counted = CountingWire { inner: Box::new(daemon_side), read: Arc::clone(&read) };
+            let counted = CountingWire {
+                inner: Box::new(daemon_side),
+                splitter: Arc::default(),
+                counts: Arc::clone(&counts),
+            };
             conn_tx
                 .send(Box::new(counted) as Box<dyn Wire>)
                 .map_err(|_| "conns channel closed")
@@ -488,30 +538,36 @@ fn serve_counted(spec: &SweepSpec, telemetry: Option<SharedSink>) -> (DistRun, u
     for worker in workers {
         worker.join().unwrap().unwrap();
     }
-    (dist, read.load(Ordering::Relaxed))
+    (dist, counts)
 }
 
 #[test]
 fn workers_send_telemetry_only_to_a_daemon_that_records_it() {
-    // Every policy, as in `cluster_sweep`'s grid: the trace volume per cell
-    // is policy-dependent (the coordinated policy re-decides at each cap
-    // redistribution), the result volume is not.
+    // Every policy, as in `cluster_sweep`'s grid: each one traces its own
+    // kinds of events, and none of them may reach a daemon that does not
+    // record them.
     let spec = SweepSpec { policies: POLICY_NAMES.map(String::from).to_vec(), ..spec() };
     let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
-    // Train before serving, so neither run's byte count includes the
-    // heartbeats of a first-time model build.
-    fleet();
 
     let memory = Arc::new(MemorySink::new());
-    let (recorded, recorded_bytes) = serve_counted(&spec, Some(Arc::clone(&memory) as SharedSink));
-    let (quiet, quiet_bytes) = serve_counted(&spec, None);
+    let (recorded, recorded_frames) = serve_counted(&spec, Some(Arc::clone(&memory) as SharedSink));
+    let (quiet, quiet_frames) = serve_counted(&spec, None);
 
     assert_eq!(recorded.run.outcomes, serial.outcomes);
     assert_eq!(quiet.run.outcomes, serial.outcomes);
     let forwarded = memory.spanned_events().iter().filter(|e| e.span.is_some()).count();
     assert!(forwarded > 0, "the recording daemon must receive worker spans");
+    // At least a handshake and one result per cell reached each daemon.
+    for frames in [&recorded_frames, &quiet_frames] {
+        assert!(frames.frames.load(Ordering::Relaxed) > spec.len() as u64);
+    }
+    assert_eq!(
+        quiet_frames.trace_batches.load(Ordering::Relaxed),
+        0,
+        "a daemon with no sink must read no TraceBatch frame"
+    );
     assert!(
-        quiet_bytes * 10 < recorded_bytes,
-        "a daemon with no sink read {quiet_bytes} bytes, a recording one {recorded_bytes}"
+        recorded_frames.trace_batches.load(Ordering::Relaxed) > 0,
+        "a recording daemon must read the workers' TraceBatch frames"
     );
 }

@@ -10,16 +10,21 @@
 //!
 //! 1. **Observe** — the summed per-node draw ([`SchedContext::draw_w`])
 //!    fixes the headroom the cluster can still allocate.
-//! 2. **Decide** — every startable job is first planned at its *cheapest*
-//!    feasible operating point (deep DVFS + narrow concurrency, via the
-//!    shared [`ControlPlane`] and the same DCT + ladder decisions the
-//!    independent policies use); the remaining watts are then spent
-//!    greedily on the upgrade with the best time-saved-per-watt ratio.
-//!    Memory-bound jobs offer tiny ratios (downclocking costs them almost
-//!    nothing), so their slack funds compute-bound jobs' boosts — the
-//!    coordination the ROADMAP asked for.
-//! 3. **Act** — the chosen per-job caps become costed [`ExecutionPlan`]s;
-//!    the cluster's own cap enforcement still re-checks every assignment.
+//! 2. **Decide** — every startable job's Pareto menu is read off its
+//!    benchmark's cap table on the chosen generation's model, built once
+//!    per model and shared: one row per probe cap the model's decision
+//!    table can be given (the same DCT + ladder decisions the independent
+//!    policies make), priced for the job with one multiply. Every job is
+//!    first placed at its *cheapest* point; the remaining watts are then
+//!    spent greedily on the upgrade with the best time-saved-per-watt
+//!    ratio. Memory-bound jobs offer tiny ratios (downclocking costs them
+//!    almost nothing), so their slack funds compute-bound jobs' boosts —
+//!    the coordination the ROADMAP asked for.
+//! 3. **Act** — only the admitted jobs get costed [`ExecutionPlan`]s,
+//!    planned through the coordinator's own [`ControlPlane`] at the chosen
+//!    row's cap, so a traced run records one `decision` per phase of each
+//!    job that starts; the cluster's own cap enforcement still re-checks
+//!    every assignment.
 //!
 //! The redistribution keeps the strict queue discipline of the independent
 //! policies (a job never starts before an earlier job that could start),
@@ -28,27 +33,20 @@
 //! [`SchedError`]s, never as release-path panics.
 
 use actor_core::control_plane::ControlPlane;
-use actor_core::controller::{DecisionTableController, PowerPerfController};
+use actor_core::controller::DecisionTableController;
 use actor_core::telemetry::{SharedSink, TraceEvent};
 use phase_rt::MachineShape;
 
 use crate::error::SchedError;
-use crate::job::Job;
-use std::collections::HashMap;
-
-use npb_workloads::BenchmarkId;
-use phase_rt::FreqStep;
-use xeon_sim::Configuration;
-
 use crate::fleet::MAX_GENS;
-use crate::policy::{decide_choices_via_plane, Assignment, SchedContext, SchedulerPolicy};
+use crate::policy::{plan_via_plane, Assignment, SchedContext, SchedulerPolicy};
 use crate::profile::ExecutionPlan;
 
 /// Slack tolerance for the coordinator's internal floating-point budget
-/// arithmetic (same as `assign_in_order`'s headroom check; the cluster's
-/// own cap enforcement and [`validate_caps`] use the looser
-/// [`VALIDATE_EPS`]).
-const EPS: f64 = 1e-9;
+/// arithmetic and the cap tables' probe arithmetic (same as
+/// `assign_in_order`'s headroom check; the cluster's own cap enforcement
+/// and [`validate_caps`] use the looser [`VALIDATE_EPS`]).
+pub(crate) const EPS: f64 = 1e-9;
 
 /// Tolerance of the post-hoc cap validation, matching the cluster event
 /// loop's cap-enforcement slack in `cluster.rs`.
@@ -73,46 +71,30 @@ pub struct JobCap {
     pub plan: ExecutionPlan,
 }
 
-/// One feasible operating point of a benchmark at a probe cap, cached per
-/// `(benchmark, effective timesteps)`. [`ExecutionPlan`]s from
-/// `plan_with_joint` depend on the job only through its benchmark and its
-/// effective timestep count, so the full per-cap candidate list is a pure
-/// function of that pair and is computed once; each scheduling event then
-/// folds the admitted prefix (caps within the event's headroom) into a
-/// Pareto menu without re-planning.
-#[derive(Debug, Clone)]
-struct MenuCandidate {
-    /// The probe cap (W) this plan was decided under.
-    cap_w: f64,
-    plan: ExecutionPlan,
-}
-
 /// One rung of a job's Pareto menu inside the shared scratch arena:
-/// peak/time for the greedy-upgrade arithmetic plus the index of the
-/// backing [`MenuCandidate`] (the plan is only cloned for the final caps).
+/// peak/time for the greedy-upgrade arithmetic plus the probe cap that
+/// rebuilds the plan if the job is admitted.
 #[derive(Debug, Clone, Copy)]
 struct MenuPoint {
     /// Per-node peak draw (W).
     peak_w: f64,
     /// Job execution time under this point (s).
     time_s: f64,
-    /// Index into the job's cached candidate list.
-    cand: usize,
+    /// The cap-table row's probe cap (W).
+    cap_w: f64,
 }
 
-/// One startable job's menu: a slice of the shared point arena plus the
-/// cache key to resolve chosen points back to plans.
+/// One startable job's menu: a slice of the shared point arena.
 #[derive(Debug, Clone, Copy)]
 struct MenuRef {
     /// Index into the scheduling context's queue.
     queue_idx: usize,
     /// Gang width (nodes).
     width: usize,
-    /// Idle floor of the chosen generation's nodes (W).
+    /// Machine generation the menu was priced on.
+    gen: usize,
+    /// Idle floor of that generation's nodes (W).
     idle_w: f64,
-    /// Key into the coordinator's candidate cache (generation, benchmark,
-    /// effective timesteps).
-    key: (usize, BenchmarkId, u64),
     /// First point in the arena.
     start: usize,
     /// Number of points.
@@ -131,30 +113,13 @@ struct RedistributeScratch {
 }
 
 /// The cluster-level coordinator: redistributes the power budget across
-/// startable jobs at every scheduling event. Generic over the
-/// decision-making controller exactly like the independent policies; the
-/// default is the workload model's ANN decision table.
-pub struct CapCoordinator<C: PowerPerfController = DecisionTableController> {
-    plane: ControlPlane<C>,
-    /// The controller's per-phase choices per (generation, benchmark,
-    /// probed cap). Sound to cache because a conformant controller's
-    /// decisions are a pure function of its observations (fed exactly once
-    /// per phase — see [`decide_choices_via_plane`]), so the same probe at
-    /// a later event would decide identically; only the cheap per-job
-    /// costing (duration scaling) is redone.
-    choice_cache: HashMap<(usize, BenchmarkId, u64), Vec<(Configuration, FreqStep)>>,
-    /// Every distinct joint-cell power of a benchmark's phases on one
-    /// generation's machine, sorted ascending and deduplicated — the cap
-    /// probe points. A pure function of the static workload model, computed
-    /// once per (generation, benchmark) instead of re-enumerating (and
-    /// re-allocating) every phase's joint cells at every scheduling event.
-    cap_cache: HashMap<(usize, BenchmarkId), Vec<f64>>,
-    /// Full feasible candidate list per `(generation, benchmark, effective
-    /// timesteps)`: one costed plan per probe cap, built eagerly on first
-    /// sight of the triple (sound for the same purity reason as
-    /// `choice_cache`, plus `plan_with_joint` depending on the job only
-    /// through benchmark and timesteps).
-    menu_cache: HashMap<(usize, BenchmarkId, u64), Vec<MenuCandidate>>,
+/// startable jobs at every scheduling event. Its menus come from the
+/// models' shared cap tables; its plane plans the admitted jobs, so it must
+/// wrap the fleet's decision table
+/// ([`FleetModel::decision_table`](crate::fleet::FleetModel::decision_table)),
+/// whose decisions the tables were priced with.
+pub struct CapCoordinator {
+    plane: ControlPlane<DecisionTableController>,
     /// Reused per-event scratch (menus arena + greedy state).
     scratch: RedistributeScratch,
     /// Attached sink: one [`TraceEvent::Redistribute`] per
@@ -163,26 +128,20 @@ pub struct CapCoordinator<C: PowerPerfController = DecisionTableController> {
     telemetry: Option<SharedSink>,
 }
 
-impl<C: PowerPerfController + std::fmt::Debug> std::fmt::Debug for CapCoordinator<C> {
+impl std::fmt::Debug for CapCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CapCoordinator")
             .field("plane", &self.plane)
-            .field("choice_cache", &self.choice_cache.len())
-            .field("cap_cache", &self.cap_cache.len())
-            .field("menu_cache", &self.menu_cache.len())
             .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
 }
 
-impl<C: PowerPerfController> CapCoordinator<C> {
-    /// Wraps an arbitrary controller.
-    pub fn new(controller: C) -> Self {
+impl CapCoordinator {
+    /// Wraps the fleet's decision table.
+    pub fn new(controller: DecisionTableController) -> Self {
         Self {
             plane: ControlPlane::new(controller, MachineShape::quad_core()),
-            choice_cache: HashMap::new(),
-            cap_cache: HashMap::new(),
-            menu_cache: HashMap::new(),
             scratch: RedistributeScratch::default(),
             telemetry: None,
         }
@@ -190,66 +149,10 @@ impl<C: PowerPerfController> CapCoordinator<C> {
 
     /// Attaches a telemetry sink: every [`CapCoordinator::redistribute`]
     /// emits one [`TraceEvent::Redistribute`], and the underlying control
-    /// plane traces each per-phase planning decision.
+    /// plane traces each phase decision of every admitted job.
     pub fn set_telemetry(&mut self, sink: Option<SharedSink>) {
         self.plane.set_telemetry(sink.clone());
         self.telemetry = sink;
-    }
-
-    /// The wrapped controller.
-    pub fn controller(&self) -> &C {
-        self.plane.controller()
-    }
-
-    /// Ensures the full feasible candidate list for this job's
-    /// `(generation, benchmark, effective timesteps)` triple is cached and
-    /// returns the key. Every achievable plan peak is the power of some
-    /// joint cell of some phase, so probing one cap per distinct cell power
-    /// enumerates the complete menu; infeasible probes (the controller's
-    /// lowest-power fallback still overdraws the cap) are dropped here,
-    /// once.
-    fn ensure_candidates(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        job: &Job,
-        gen: usize,
-    ) -> (usize, BenchmarkId, u64) {
-        let model = ctx.gen_model(gen);
-        let knowledge = model.knowledge(job.benchmark);
-        let key = (gen, job.benchmark, job.effective_timesteps(knowledge.profile.timesteps) as u64);
-        if self.menu_cache.contains_key(&key) {
-            return key;
-        }
-        let caps = self.cap_cache.entry((gen, job.benchmark)).or_insert_with(|| {
-            let mut caps: Vec<f64> = knowledge
-                .phases
-                .iter()
-                .flat_map(|p| p.joint_candidates())
-                .filter_map(|cell| cell.avg_power_w)
-                .collect();
-            caps.sort_by(f64::total_cmp);
-            caps.dedup_by(|a, b| (*a - *b).abs() < EPS);
-            caps
-        });
-        let mut cands: Vec<MenuCandidate> = Vec::with_capacity(caps.len());
-        for &cap in caps.iter() {
-            let choice_key = (gen, job.benchmark, cap.to_bits());
-            if !self.choice_cache.contains_key(&choice_key) {
-                let fresh =
-                    decide_choices_via_plane(&mut self.plane, model, job.benchmark, cap, true);
-                self.choice_cache.insert(choice_key, fresh);
-            }
-            let mut iter = self.choice_cache[&choice_key].iter().copied();
-            let plan = model.plan_with_joint(job, |_| iter.next().expect("one per phase"));
-            if plan.peak_power_w > cap + EPS {
-                // Some phase had no admissible cell under this cap — not a
-                // feasible operating point at this probe.
-                continue;
-            }
-            cands.push(MenuCandidate { cap_w: cap, plan });
-        }
-        self.menu_cache.insert(key, cands);
-        key
     }
 
     /// Observes the cluster state and decides per-job caps for the jobs that
@@ -261,20 +164,19 @@ impl<C: PowerPerfController> CapCoordinator<C> {
         // Timestamp only when traced: the untraced path stays identical.
         let started = self.telemetry.as_ref().map(|_| std::time::Instant::now());
         let headroom_w = ctx.headroom_w();
-        // Borrow dance: the scratch moves out of `self` so menu building
-        // can call `ensure_candidates` (&mut self) while filling it.
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let scratch = &mut self.scratch;
         scratch.points.clear();
         scratch.menus.clear();
         scratch.chosen.clear();
 
         // Strict queue discipline on nodes: the startable set is the longest
         // queue prefix whose cumulative width fits the idle nodes. Each
-        // startable job's Pareto menu — the admitted cap prefix, folded to
-        // rising peak draw with strictly falling execution time — lands in
-        // the shared point arena. Gangs stay within one generation; each job
-        // goes to the generation with enough free nodes whose nominal
-        // four-core run is fastest (ties to the lower index — deterministic).
+        // startable job's Pareto menu — the admitted cap prefix of its cap
+        // table, folded to rising peak draw with strictly falling execution
+        // time — lands in the shared point arena. Gangs stay within one
+        // generation; each job goes to the generation with enough free
+        // nodes whose nominal four-core run is fastest (ties to the lower
+        // index — deterministic).
         let mut free_by_gen = [0usize; MAX_GENS];
         for &n in ctx.idle_nodes {
             free_by_gen[ctx.gen_of(n)] += 1;
@@ -296,13 +198,14 @@ impl<C: PowerPerfController> CapCoordinator<C> {
             startable_n += 1;
             let idle_w = ctx.gen_idle_w(gen);
             let max_cap_w = headroom_w / job.nodes as f64 + idle_w;
-            let key = self.ensure_candidates(ctx, job, gen);
+            let table = ctx.gen_model(gen).cap_table(job.benchmark);
+            let timesteps = table.timesteps(job);
             let start = scratch.points.len();
-            for (cand, c) in self.menu_cache[&key].iter().enumerate() {
-                if c.cap_w > max_cap_w + EPS {
+            for &(cap_w, rate) in &table.rows {
+                if cap_w > max_cap_w + EPS {
                     break;
                 }
-                let (peak_w, time_s) = (c.plan.peak_power_w, c.plan.exec_time_s);
+                let (peak_w, time_s) = (rate.peak_power_w, rate.exec_time_s(timesteps));
                 if scratch.points.len() > start {
                     let last = scratch.points.last().expect("non-empty menu");
                     // Keep only Pareto-improving points: higher peak must
@@ -316,13 +219,13 @@ impl<C: PowerPerfController> CapCoordinator<C> {
                         scratch.points.pop();
                     }
                 }
-                scratch.points.push(MenuPoint { peak_w, time_s, cand });
+                scratch.points.push(MenuPoint { peak_w, time_s, cap_w });
             }
             scratch.menus.push(MenuRef {
                 queue_idx,
                 width: job.nodes,
+                gen,
                 idle_w,
-                key,
                 start,
                 len: scratch.points.len() - start,
             });
@@ -378,24 +281,31 @@ impl<C: PowerPerfController> CapCoordinator<C> {
             scratch.chosen[i] += 1;
         }
 
+        let plane = &mut self.plane;
         let caps: Vec<JobCap> = scratch
             .menus
             .iter()
             .zip(&scratch.chosen)
             .map(|(m, &pick)| {
                 let point = scratch.points[m.start + pick];
+                let (model, job) = (ctx.gen_model(m.gen), &ctx.queue[m.queue_idx]);
+                let plan = plan_via_plane(plane, model, job, point.cap_w, true);
+                debug_assert!(
+                    plan.peak_power_w.to_bits() == point.peak_w.to_bits()
+                        && plan.exec_time_s.to_bits() == point.time_s.to_bits(),
+                    "the coordinator's controller disagrees with the model's cap table"
+                );
                 JobCap {
                     queue_idx: m.queue_idx,
                     width: m.width,
-                    gen: m.key.0,
+                    gen: m.gen,
                     node_idle_w: m.idle_w,
                     node_cap_w: point.peak_w,
-                    plan: self.menu_cache[&m.key][point.cand].plan.clone(),
+                    plan,
                 }
             })
             .collect();
         let upgrades: usize = scratch.chosen.iter().sum();
-        self.scratch = scratch;
         validate_caps(&caps, headroom_w)?;
         if let (Some(sink), Some(started)) = (&self.telemetry, started) {
             sink.record_owned(TraceEvent::Redistribute {
@@ -440,23 +350,18 @@ pub fn validate_caps(caps: &[JobCap], headroom_w: f64) -> Result<(), SchedError>
 /// split of the independent power-aware policies with per-event
 /// redistribution; registered as `"power-aware-coordinated"`.
 #[derive(Debug)]
-pub struct CoordinatedPowerPolicy<C: PowerPerfController = DecisionTableController> {
-    coordinator: CapCoordinator<C>,
+pub struct CoordinatedPowerPolicy {
+    coordinator: CapCoordinator,
 }
 
-impl<C: PowerPerfController> CoordinatedPowerPolicy<C> {
-    /// Wraps an arbitrary controller.
-    pub fn new(controller: C) -> Self {
+impl CoordinatedPowerPolicy {
+    /// Wraps the fleet's decision table (see [`CapCoordinator`]).
+    pub fn new(controller: DecisionTableController) -> Self {
         Self { coordinator: CapCoordinator::new(controller) }
     }
-
-    /// The coordinator.
-    pub fn coordinator(&self) -> &CapCoordinator<C> {
-        &self.coordinator
-    }
 }
 
-impl<C: PowerPerfController> SchedulerPolicy for CoordinatedPowerPolicy<C> {
+impl SchedulerPolicy for CoordinatedPowerPolicy {
     fn name(&self) -> &'static str {
         "power-aware-coordinated"
     }
@@ -496,6 +401,7 @@ impl<C: PowerPerfController> SchedulerPolicy for CoordinatedPowerPolicy<C> {
 mod tests {
     use super::*;
     use crate::fleet::FleetModel;
+    use crate::job::Job;
     use actor_core::ActorConfig;
     use npb_workloads::BenchmarkId;
     use xeon_sim::Configuration;

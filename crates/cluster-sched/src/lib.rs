@@ -35,9 +35,9 @@
 //!   (nodes × budgets × policies × seeds, plus explicit cells) expanded
 //!   into independent cells and executed concurrently on scoped worker
 //!   threads against one `Arc`-shared fleet model, with deterministic
-//!   cell-ordered results. Its per-cell trace record and panic text are
-//!   public, so the distributed daemon and workers report cells the same
-//!   way.
+//!   cell-ordered results. Its cell boundary ([`sweep::run_cell`]), per-cell
+//!   trace record and panic text are public, so the distributed daemon and
+//!   workers run and report cells the same way.
 
 pub mod cluster;
 pub mod coordinator;
@@ -70,7 +70,7 @@ pub use scenario::{
     FaultTimeline, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
 pub use sweep::{
-    default_workload, execute_cell, light_workload, panic_message, quad_test_workload,
+    default_workload, execute_cell, light_workload, panic_message, quad_test_workload, run_cell,
     run_sweep_fleet, sweep_cell_event, workload_shape_by_name, SweepCell, SweepCellOutcome,
     SweepError, SweepPoint, SweepRun, SweepSpec, WORKLOAD_SHAPE_NAMES,
 };

@@ -237,21 +237,22 @@ impl SchedulerPolicy for FcfsPolicy {
 pub struct BackfillPolicy;
 
 impl BackfillPolicy {
-    /// Earliest time the head job (k nodes, per-node peak `node_peak_w`)
-    /// could start, given current free resources and the known completion
+    /// Earliest time the head `job` could start at its four-core peak,
+    /// given current free resources and the known completion
     /// times of both already-running jobs and jobs started earlier in this
     /// same scheduling pass (`started`) — without the latter, the
     /// reservation overshoots and backfilled jobs could delay the head.
-    /// Nodes are pooled across generations and priced at the
-    /// [`SchedContext::pool_gen`] idle floor.
+    /// Nodes are pooled across generations and priced on the
+    /// [`SchedContext::pool_gen`] generation.
     fn reservation_time(
         ctx: &SchedContext<'_>,
         started: &[RunningSummary],
         free_nodes: usize,
         headroom_w: f64,
-        k: usize,
-        node_peak_w: f64,
+        job: &Job,
     ) -> f64 {
+        let k = job.nodes;
+        let node_peak_w = ctx.gen_model(ctx.pool_gen).cap_table(job.benchmark).four.peak_power_w;
         let idle_w = ctx.gen_idle_w(ctx.pool_gen);
         let mut nodes = free_nodes;
         let mut headroom = headroom_w;
@@ -281,7 +282,8 @@ impl SchedulerPolicy for BackfillPolicy {
     /// The head's reservation is approximated on the pooled node count with
     /// the [`SchedContext::pool_gen`] plan peak — exact per-generation
     /// reservations would need per-generation release tracking for a corner
-    /// the EASY condition already keeps conservative.
+    /// the EASY condition already keeps conservative. Jobs are priced from
+    /// the cap tables' four-core rates; only jobs that start get a plan.
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
         let mut out = Vec::new();
         let mut free_by_gen = ctx.free_by_gen();
@@ -293,50 +295,46 @@ impl SchedulerPolicy for BackfillPolicy {
         let mut reservation: Option<f64> = None;
         for (queue_idx, job) in ctx.queue.iter().enumerate() {
             let k = job.nodes;
-            let mut best: Option<(usize, ExecutionPlan)> = None;
+            // (generation, execution time, per-node peak) of the fastest fit.
+            let mut best: Option<(usize, f64, f64)> = None;
             for (gen, free) in free_by_gen.iter().enumerate() {
                 if free.len() < k {
                     continue;
                 }
-                let plan = ctx.gen_model(gen).plan_fixed(job, Configuration::Four);
-                if (plan.peak_power_w - ctx.gen_idle_w(gen)) * k as f64 > headroom + 1e-9 {
+                let table = ctx.gen_model(gen).cap_table(job.benchmark);
+                let (time_s, peak_w) =
+                    (table.four.exec_time_s(table.timesteps(job)), table.four.peak_power_w);
+                if (peak_w - ctx.gen_idle_w(gen)) * k as f64 > headroom + 1e-9 {
                     continue;
                 }
-                if best.as_ref().is_none_or(|(_, b)| plan.exec_time_s < b.exec_time_s) {
-                    best = Some((gen, plan));
+                if best.is_none_or(|(_, b, _)| time_s < b) {
+                    best = Some((gen, time_s, peak_w));
                 }
             }
-            let fits = best.is_some();
-            // EASY condition: once the head is blocked, a job may only jump
-            // it if it releases its nodes and power before the head's
-            // reservation, so it cannot delay the head.
-            let backfill_ok = match (reservation, &best) {
-                (None, _) => true,
-                (Some(t), Some((_, plan))) => ctx.now + plan.exec_time_s <= t + 1e-9,
-                (Some(_), None) => false,
-            };
-            if fits && backfill_ok {
-                let (gen, plan) = best.expect("fits");
-                headroom -= (plan.peak_power_w - ctx.gen_idle_w(gen)) * k as f64;
-                started.push(RunningSummary {
-                    finish_s: ctx.now + plan.exec_time_s,
-                    nodes: k,
-                    node_peak_w: plan.peak_power_w,
-                });
-                total_free -= k;
-                let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
-                out.push(Assignment { queue_idx, nodes, plan });
-            } else if reservation.is_none() {
-                // Head blocks: reserve its start, then try backfill.
-                let pool_plan = ctx.gen_model(ctx.pool_gen).plan_fixed(job, Configuration::Four);
-                reservation = Some(Self::reservation_time(
-                    ctx,
-                    &started,
-                    total_free,
-                    headroom,
-                    k,
-                    pool_plan.peak_power_w,
-                ));
+            match best {
+                // EASY condition: once the head is blocked, a job may only
+                // jump it if it releases its nodes and power before the
+                // head's reservation, so it cannot delay the head.
+                Some((gen, time_s, peak_w))
+                    if reservation.is_none_or(|t| ctx.now + time_s <= t + 1e-9) =>
+                {
+                    headroom -= (peak_w - ctx.gen_idle_w(gen)) * k as f64;
+                    started.push(RunningSummary {
+                        finish_s: ctx.now + time_s,
+                        nodes: k,
+                        node_peak_w: peak_w,
+                    });
+                    total_free -= k;
+                    let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
+                    let plan = ctx.gen_model(gen).plan_fixed(job, Configuration::Four);
+                    out.push(Assignment { queue_idx, nodes, plan });
+                }
+                _ if reservation.is_none() => {
+                    // Head blocks: reserve its start, then try backfill.
+                    reservation =
+                        Some(Self::reservation_time(ctx, &started, total_free, headroom, job));
+                }
+                _ => {}
             }
             if total_free == 0 {
                 break;
@@ -350,7 +348,7 @@ impl SchedulerPolicy for BackfillPolicy {
 /// sampling window once, ask the wrapped controller for its joint
 /// (configuration, frequency) decision under `node_cap`, and cost the
 /// resulting plan. Shared by [`PowerAwarePolicy`] (per-job equal headroom
-/// shares) and the coordinator (jointly redistributed caps).
+/// shares) and the coordinator (the admitted jobs' redistributed caps).
 ///
 /// A contract violation panics: the conformance harness rejects such
 /// controllers up front, and a defective decision must fail loudly rather
@@ -376,7 +374,8 @@ pub(crate) fn plan_via_plane<C: PowerPerfController>(
 /// (decide is a pure function of construction state + observations — the
 /// conformance contract — and each phase's sampling window is observed
 /// exactly once, here) the result depends only on `(benchmark, node_cap)`,
-/// which is what lets the coordinator cache it across scheduling events.
+/// which is what lets a model price it once per probe cap in its
+/// [`crate::profile::CapTable`].
 pub(crate) fn decide_choices_via_plane<C: PowerPerfController>(
     plane: &mut ControlPlane<C>,
     model: &WorkloadModel,

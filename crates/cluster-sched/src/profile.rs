@@ -6,20 +6,27 @@
 //! configuration), and the machine model fills in time/power/energy per
 //! (phase, configuration). Policies consult this table to answer "what does
 //! running job J at configuration c cost, and what throughput does the ANN
-//! predict?" without re-running the pipeline per job.
+//! predict?" without re-running the pipeline per job. Pricing a job that
+//! may never start needs no [`ExecutionPlan`]: each benchmark's cap table,
+//! built once per model, prices it with one multiply.
 
+use std::sync::OnceLock;
+
+use actor_core::control_plane::ControlPlane;
 use actor_core::controller::{
     best_config_by_ipc, CandidatePerf, DecisionTableController, JointPerf, PhaseSample,
 };
 use actor_core::{evaluate_benchmarks, ActorConfig, ThrottleDecision};
 use npb_workloads::{suite, BenchmarkId, BenchmarkProfile};
-use phase_rt::{FreqStep, PhaseId};
+use phase_rt::{FreqStep, MachineShape, PhaseId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xeon_sim::{Configuration, FreqLadder, Machine, PhaseExecution};
 
+use crate::coordinator::EPS;
 use crate::error::ClusterError;
 use crate::job::Job;
+use crate::policy::decide_choices_via_plane;
 
 /// Phases per benchmark are bounded well below this, so one `u32` phase id
 /// namespace covers (benchmark index, phase index) pairs.
@@ -182,6 +189,8 @@ pub struct BenchmarkKnowledge {
     pub profile: BenchmarkProfile,
     /// Per-phase decisions and executions.
     pub phases: Vec<PhaseKnowledge>,
+    /// Built on first use ([`WorkloadModel::cap_table`]), then shared.
+    cap_table: OnceLock<CapTable>,
 }
 
 /// What one job will do on a node if started with the given per-phase
@@ -209,6 +218,46 @@ impl ExecutionPlan {
         } else {
             0.0
         }
+    }
+}
+
+/// What one timestep of a plan costs, independent of the job's length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PlanRate {
+    /// Time of one timestep (s), the phases summed in phase order.
+    pub time_per_timestep_s: f64,
+    /// Peak power across the phases (W) — the plan's `peak_power_w`.
+    pub peak_power_w: f64,
+}
+
+impl PlanRate {
+    /// The plan's `exec_time_s` for a job of `timesteps` timesteps.
+    pub(crate) fn exec_time_s(&self, timesteps: usize) -> f64 {
+        self.time_per_timestep_s * timesteps as f64
+    }
+}
+
+/// One benchmark's job-independent prices on one model
+/// ([`WorkloadModel::cap_table`]). A conformant controller's decision is a
+/// pure, piecewise-constant function of the cap (conformance check 8), and
+/// every plan peak is some phase's joint-cell power, so one probe per
+/// distinct cell power enumerates every plan the decision table can pick;
+/// probes whose plan overdraws the cap are dropped.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CapTable {
+    /// The profile's base timestep count ([`CapTable::timesteps`]).
+    pub base_timesteps: usize,
+    /// The rate of [`WorkloadModel::plan_fixed`] at [`Configuration::Four`].
+    pub four: PlanRate,
+    /// `(probe cap W, rate)` of every feasible probe, caps ascending: the
+    /// joint DVFS+DCT plan the decision table picks under that cap.
+    pub rows: Vec<(f64, PlanRate)>,
+}
+
+impl CapTable {
+    /// `job`'s effective timestep count on this benchmark.
+    pub(crate) fn timesteps(&self, job: &Job) -> usize {
+        job.effective_timesteps(self.base_timesteps)
     }
 }
 
@@ -282,7 +331,8 @@ impl WorkloadModel {
                     )
                 })
                 .collect();
-            benchmarks.push((profile.id, BenchmarkKnowledge { profile, phases }));
+            let cap_table = OnceLock::new();
+            benchmarks.push((profile.id, BenchmarkKnowledge { profile, phases, cap_table }));
         }
         Ok(Self { benchmarks, ladder: machine.freq_ladder().clone(), phase_id_base: 0 })
     }
@@ -321,6 +371,33 @@ impl WorkloadModel {
             .find(|(b, _)| *b == id)
             .expect("job benchmarks must be part of the workload model")
             .1
+    }
+
+    /// The benchmark's cap table, built on the first call by a private,
+    /// untraced control plane over [`Self::decision_table`] and shared from
+    /// then on by every cell and thread holding the model. A plane over the
+    /// same decisions (the fleet's table holds every generation's) rebuilds
+    /// any row's plan at that row's cap.
+    pub(crate) fn cap_table(&self, id: BenchmarkId) -> &CapTable {
+        let k = self.knowledge(id);
+        k.cap_table.get_or_init(|| {
+            let four = self.rate_with(k, |_| (Configuration::Four, FreqStep::NOMINAL)).0;
+            let cells = k.phases.iter().flat_map(PhaseKnowledge::joint_candidates);
+            let mut caps: Vec<f64> = cells.filter_map(|cell| cell.avg_power_w).collect();
+            caps.sort_by(f64::total_cmp);
+            caps.dedup_by(|a, b| (*a - *b).abs() < EPS);
+            let mut plane = ControlPlane::new(self.decision_table(), MachineShape::quad_core());
+            let rows = caps
+                .into_iter()
+                .filter_map(|cap_w| {
+                    let mut choices =
+                        decide_choices_via_plane(&mut plane, self, id, cap_w, true).into_iter();
+                    let (rate, _) = self.rate_with(k, |_| choices.next().expect("one per phase"));
+                    (rate.peak_power_w <= cap_w + EPS).then_some((cap_w, rate))
+                })
+                .collect();
+            CapTable { base_timesteps: k.profile.timesteps, four, rows }
+        })
     }
 
     /// Stable workspace-wide [`PhaseId`] of one phase of one benchmark, so
@@ -403,10 +480,34 @@ impl WorkloadModel {
         mut choose: impl FnMut(&PhaseKnowledge) -> (Configuration, FreqStep),
     ) -> ExecutionPlan {
         let k = self.knowledge(job.benchmark);
-        let timesteps = job.effective_timesteps(k.profile.timesteps) as f64;
+        let timesteps = job.effective_timesteps(k.profile.timesteps);
         let mut decisions = Vec::with_capacity(k.phases.len());
         let mut steps = Vec::with_capacity(k.phases.len());
-        let mut time_per_timestep = 0.0;
+        let (rate, energy_per_timestep) = self.rate_with(k, |phase| {
+            let (config, step) = choose(phase);
+            decisions.push((phase.name.clone(), config));
+            steps.push(step.index());
+            (config, step)
+        });
+        // DCT-only plans keep the compact representation (no frequency axis).
+        let freq_steps = if steps.iter().all(|&s| s == 0) { Vec::new() } else { steps };
+        ExecutionPlan {
+            decisions,
+            freq_steps,
+            exec_time_s: rate.exec_time_s(timesteps),
+            energy_j: energy_per_timestep * timesteps as f64,
+            peak_power_w: rate.peak_power_w,
+        }
+    }
+
+    /// One timestep's rate and energy (J), each phase run at its choice:
+    /// the loop behind every plan and every [`CapTable`] row.
+    fn rate_with(
+        &self,
+        k: &BenchmarkKnowledge,
+        mut choose: impl FnMut(&PhaseKnowledge) -> (Configuration, FreqStep),
+    ) -> (PlanRate, f64) {
+        let mut time_per_timestep_s = 0.0;
         let mut energy_per_timestep = 0.0;
         let mut peak_power_w = 0.0f64;
         for phase in &k.phases {
@@ -419,21 +520,11 @@ impl WorkloadModel {
                 self.ladder.len()
             );
             let exec = phase.execution_at(config, step);
-            decisions.push((phase.name.clone(), config));
-            steps.push(step.index());
-            time_per_timestep += exec.time_s;
+            time_per_timestep_s += exec.time_s;
             energy_per_timestep += exec.energy_j;
             peak_power_w = peak_power_w.max(exec.avg_power_w);
         }
-        // DCT-only plans keep the compact representation (no frequency axis).
-        let freq_steps = if steps.iter().all(|&s| s == 0) { Vec::new() } else { steps };
-        ExecutionPlan {
-            decisions,
-            freq_steps,
-            exec_time_s: time_per_timestep * timesteps,
-            energy_j: energy_per_timestep * timesteps,
-            peak_power_w,
-        }
+        (PlanRate { time_per_timestep_s, peak_power_w }, energy_per_timestep)
     }
 }
 
@@ -568,6 +659,59 @@ mod tests {
         let m = model();
         let j = job(BenchmarkId::Is);
         let _ = m.plan_with_joint(&j, |_| (Configuration::Four, FreqStep::new(99)));
+    }
+
+    /// Every row of every cap table prices a job exactly like the plan it
+    /// stands for: on each generation of a mixed fleet, for each benchmark
+    /// and each effective timestep count up to twice the base, the row's
+    /// peak and `time_per_timestep × T` equal, bit for bit, the plan
+    /// `plan_via_plane` builds at the row's cap through the fleet's
+    /// decision table — the plan the coordinator builds for an admitted
+    /// job. The four-core rate equals `plan_fixed` at four cores.
+    #[test]
+    fn cap_table_rows_price_jobs_bit_identically_to_their_plans() {
+        use crate::fleet::{FleetModel, MachineMix};
+        use crate::policy::plan_via_plane;
+
+        let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
+        let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
+        let mixed = MachineMix::by_name("mixed").unwrap();
+        let fleet = FleetModel::build(&config, &ids, &[mixed]).unwrap();
+        assert_eq!(fleet.gens().len(), 3, "the mixed fleet has three generations");
+        let mut plane = ControlPlane::new(fleet.decision_table(), MachineShape::quad_core());
+        for gen in fleet.gens() {
+            let model = &gen.model;
+            for id in model.benchmark_ids() {
+                let table = model.cap_table(id);
+                assert!(std::ptr::eq(table, model.cap_table(id)), "built once, then shared");
+                let base = model.knowledge(id).profile.timesteps;
+                assert_eq!(table.base_timesteps, base);
+                assert!(!table.rows.is_empty(), "{}/{id}: no feasible cap", gen.name);
+                assert!(table.rows.windows(2).all(|w| w[0].0 < w[1].0));
+                for t in 1..=2 * base {
+                    let j = Job { duration_scale: t as f64 / base as f64, ..job(id) };
+                    assert_eq!(table.timesteps(&j), t);
+                    let four = model.plan_fixed(&j, Configuration::Four);
+                    assert_eq!(table.four.peak_power_w.to_bits(), four.peak_power_w.to_bits());
+                    assert_eq!(table.four.exec_time_s(t).to_bits(), four.exec_time_s.to_bits());
+                    for &(cap_w, rate) in &table.rows {
+                        let plan = plan_via_plane(&mut plane, model, &j, cap_w, true);
+                        let at = format!("{}/{id}, cap {cap_w} W, {t} timesteps", gen.name);
+                        assert_eq!(
+                            rate.peak_power_w.to_bits(),
+                            plan.peak_power_w.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            rate.exec_time_s(t).to_bits(),
+                            plan.exec_time_s.to_bits(),
+                            "{at}"
+                        );
+                        assert!(rate.peak_power_w <= cap_w + EPS, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! or completion order (`actor_core::report::StreamingReporter` is the
 //! matching presentation adapter).
 //!
-//! A panicking cell does not poison the engine: its worker catches the
-//! unwind at the cell boundary, carries on with the next cell, and the
-//! sweep surfaces the lowest-index panic as [`SweepError::Panicked`].
+//! A panicking cell does not poison the engine: the cell boundary
+//! ([`run_cell`]) catches the unwind, the worker carries on with the next
+//! cell, and the sweep surfaces the lowest-index panic as
+//! [`SweepError::Panicked`].
 
 use std::any::Any;
 use std::fmt;
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use actor_core::telemetry::{SharedSink, TraceEvent};
+use actor_core::telemetry::{with_cell, SharedSink, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{simulate_fleet, ClusterReport, ClusterSpec};
@@ -737,6 +738,27 @@ pub fn execute_cell(
     simulate_fleet(&cluster_spec, fleet, policy.as_mut(), telemetry.cloned())
 }
 
+/// Runs one cell through [`execute_cell`] behind the cell boundary that
+/// [`run_sweep_fleet`]'s workers and the distributed `cluster_worker`
+/// share: the cell's index is the executing thread's current cell
+/// ([`actor_core::telemetry::with_cell`]), so a `SpanSink` stamps every
+/// event the cell emits with it, and a panic comes back as `Err` with its
+/// text ([`panic_message`]).
+pub fn run_cell(
+    fleet: &FleetModel,
+    workload: fn(usize) -> WorkloadSpec,
+    max_node_w: f64,
+    cell: &SweepCell,
+    telemetry: Option<&SharedSink>,
+) -> Result<Result<ClusterReport, ClusterError>, String> {
+    with_cell(cell.index as u64, || {
+        catch_unwind(AssertUnwindSafe(|| {
+            execute_cell(fleet, workload, max_node_w, cell, telemetry)
+        }))
+        .map_err(|payload| panic_message(payload.as_ref()))
+    })
+}
+
 /// Executes every cell of `spec` against the shared `fleet` on `jobs`
 /// scoped worker threads (at least one).
 ///
@@ -746,19 +768,21 @@ pub fn execute_cell(
 /// progress narration, incremental CSV rows — where `done` counts every
 /// finished cell, failed or panicked ones included. With a telemetry sink,
 /// every worker traces its cells' cluster events and controller decisions
-/// through it, and the calling thread emits one [`TraceEvent::SweepCell`]
-/// per completed cell, in completion order. The returned [`SweepRun`] is
+/// through it, each under its cell's index ([`run_cell`]), and the calling
+/// thread emits one [`TraceEvent::SweepCell`] per completed cell, in
+/// completion order. The returned [`SweepRun`] is
 /// always sorted by cell index, so anything rendered from it is
 /// bit-identical across worker counts; pair with
 /// `actor_core::report::StreamingReporter` for the presentation side.
 ///
 /// Every cell runs even when some fail: a panicking cell is caught at the
-/// cell boundary and reported as [`SweepError::Panicked`] (lowest index
-/// first), which takes precedence over the lowest-index
+/// cell boundary ([`run_cell`]) and reported as [`SweepError::Panicked`]
+/// (lowest index first), which takes precedence over the lowest-index
 /// [`SweepError::Cell`] failure.
 ///
 /// The fleet is `Arc`-shared immutably: one ANN training pass per
-/// generation serves every cell, and each cell constructs its own policy
+/// generation serves every cell, each model's cap tables are built once by
+/// whichever cell first needs them, and each cell constructs its own policy
 /// (policies are stateful) from the shared decision tables. The fleet must
 /// cover every machine mix the grid names ([`SweepSpec::mixes`] lists
 /// them); a missing generation is a loud per-cell error, never a silent
@@ -791,10 +815,7 @@ pub fn run_sweep_fleet(
             let (tx, cells, next, telemetry) = (tx.clone(), &cells, &next, telemetry.as_ref());
             scope.spawn(move || {
                 while let Some(cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        execute_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry)
-                    }));
-                    let result = result.map_err(|payload| panic_message(payload.as_ref()));
+                    let result = run_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry);
                     // A send failure means the join loop is gone; stop.
                     if tx.send((cell.index, result)).is_err() {
                         break;

@@ -54,7 +54,7 @@ mod ring;
 mod span;
 
 pub use ring::RingSink;
-pub use span::{SpanContext, SpanSink, SpannedEvent};
+pub use span::{with_cell, SpanContext, SpanSink, SpannedEvent};
 
 /// The shared, thread-safe handle instrumented code stores: sinks cross
 /// worker-pool and live-runtime boundaries, so they are reference-counted
@@ -1367,11 +1367,11 @@ mod tests {
         let mem = Arc::new(MemorySink::new());
         let sink = SpanSink::new(mem.clone(), 42, "worker-1");
         sink.record(&decision(1));
-        sink.set_cell(Some(3));
-        sink.record(&decision(2));
-        sink.record(&decision(3));
-        sink.record(&decision(4));
-        sink.set_cell(None);
+        with_cell(3, || {
+            sink.record(&decision(2));
+            sink.record(&decision(3));
+            sink.record(&decision(4));
+        });
         sink.record(&decision(5));
         // A foreign, already-stamped event passes through untouched.
         let foreign = SpannedEvent {
@@ -1394,6 +1394,36 @@ mod tests {
         assert_eq!(got[5], foreign);
         assert_eq!(got[6].span.as_ref().unwrap().seq, 99, "foreign span kept in mixed batch");
         assert_eq!(sink.stamped(), 6);
+    }
+
+    #[test]
+    fn cell_scopes_are_per_thread_nested_and_unwind_safe() {
+        let mem = Arc::new(MemorySink::new());
+        let sink = SpanSink::new(mem.clone(), 1, "sweep");
+        with_cell(7, || {
+            sink.record(&decision(1));
+            // Another thread sharing the sink is not inside this cell.
+            std::thread::scope(|scope| {
+                scope.spawn(|| with_cell(8, || sink.record(&decision(2))));
+                scope.spawn(|| sink.record(&decision(3)));
+            });
+            with_cell(9, || sink.record(&decision(4)));
+            sink.record(&decision(5)); // the outer cell is restored
+        });
+        // A panicking cell leaves no cell behind on its thread.
+        let caught = std::panic::catch_unwind(|| with_cell(6, || panic!("cell 6 fails")));
+        assert!(caught.is_err());
+        sink.record(&decision(7));
+
+        let cells: Vec<Option<u64>> = (1..=7)
+            .filter(|&latency| latency != 6)
+            .map(|latency| {
+                let events = mem.spanned_events();
+                let e = events.iter().find(|e| e.event.latency_ns() == Some(latency)).unwrap();
+                e.span.as_ref().unwrap().cell
+            })
+            .collect();
+        assert_eq!(cells, vec![Some(7), Some(8), None, Some(9), Some(7), None]);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! *which run* produced an event (`run_id`), *which process* emitted it
 //! (`source`), and *where it sits* in that process's emission order
 //! (`seq`, dense per source — a hole in the sequence means records were
-//! lost). The optional `cell` field ties a worker's hot-path events to the
-//! sweep cell they executed, which is how `trace_tool merge` interleaves
-//! worker activity into the daemon's timeline.
+//! lost). The optional `cell` field ties hot-path events to the sweep cell
+//! their thread was executing ([`with_cell`]), which is how `trace_tool
+//! merge` interleaves worker activity into the daemon's timeline.
 //!
 //! Spans ride *flat* on the serialized record: a spanned JSONL line is the
 //! plain [`TraceEvent`] object plus `run_id`/`source`/`seq`/`cell` keys, so
 //! every pre-span consumer (which ignores unknown keys) keeps decoding
 //! traces unchanged, and span-aware consumers recover the full context.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -97,8 +98,25 @@ impl Deserialize for SpannedEvent {
     }
 }
 
-/// Sentinel for "no current cell" in [`SpanSink`]'s atomic cell slot.
-const NO_CELL: u64 = u64::MAX;
+thread_local! {
+    /// The sweep cell this thread is executing, if any ([`with_cell`]).
+    static CURRENT_CELL: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Runs `f` as sweep cell `cell` on the calling thread, so concurrent cells
+/// sharing one sink stay apart: a [`SpanSink`] stamps `cell` on every event
+/// this thread records meanwhile. The previous cell comes back afterwards,
+/// also when `f` unwinds.
+pub fn with_cell<R>(cell: u64, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<u64>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT_CELL.with(|current| current.set(self.0));
+        }
+    }
+    let _restore = Restore(CURRENT_CELL.with(|current| current.replace(Some(cell))));
+    f()
+}
 
 /// Stamps every passing event with a [`SpanContext`] and forwards it.
 ///
@@ -108,7 +126,8 @@ const NO_CELL: u64 = u64::MAX;
 /// `--trace` sink in one (source = the worker name, run id = the daemon's
 /// wire-carried `SweepContext::run_id`). Sequence numbers are dense per
 /// sink — a gap in a recovered trace is proof of loss, which `trace_tool
-/// check` turns into a loud error.
+/// check` turns into a loud error. The `cell` stamp is the cell the
+/// recording thread is executing ([`with_cell`]).
 ///
 /// Already-stamped events pass through untouched (see
 /// [`TelemetrySink::record_spanned`]): the daemon ingests worker
@@ -122,25 +141,12 @@ pub struct SpanSink {
     run_id: u64,
     source: String,
     seq: AtomicU64,
-    cell: AtomicU64,
 }
 
 impl SpanSink {
     /// Stamps with `run_id`/`source`, forwarding to `inner`.
     pub fn new(inner: SharedSink, run_id: u64, source: impl Into<String>) -> Self {
-        Self {
-            inner,
-            run_id,
-            source: source.into(),
-            seq: AtomicU64::new(0),
-            cell: AtomicU64::new(NO_CELL),
-        }
-    }
-
-    /// Sets (or clears) the sweep-cell index stamped on subsequent events.
-    /// Workers call this around each `AssignCell` execution.
-    pub fn set_cell(&self, cell: Option<u64>) {
-        self.cell.store(cell.unwrap_or(NO_CELL), Ordering::Relaxed);
+        Self { inner, run_id, source: source.into(), seq: AtomicU64::new(0) }
     }
 
     /// Events stamped so far (the next sequence number to be issued).
@@ -150,10 +156,7 @@ impl SpanSink {
 
     fn stamp(&self, event: &TraceEvent) -> SpannedEvent {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let cell = match self.cell.load(Ordering::Relaxed) {
-            NO_CELL => None,
-            cell => Some(cell),
-        };
+        let cell = CURRENT_CELL.with(Cell::get);
         SpannedEvent {
             span: Some(SpanContext { run_id: self.run_id, source: self.source.clone(), seq, cell }),
             event: event.clone(),

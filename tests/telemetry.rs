@@ -5,6 +5,7 @@
 //! cluster loop captures every traced event kind, one record per decision
 //! and scheduling event, with decide/redistribute latencies populated.
 
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -13,10 +14,11 @@ use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
     budget_from_fraction, cluster_summary_row, policy_by_name_fleet, run_sweep_fleet,
     simulate_fleet, ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepRun, SweepSpec,
-    WorkloadSpec,
+    WorkloadSpec, POLICY_NAMES,
 };
 use actor_suite::prelude::{
-    MemorySink, MetricsRegistry, NullSink, RingSink, SharedSink, TelemetrySink, TraceEvent,
+    MemorySink, MetricsRegistry, NullSink, RingSink, SharedSink, SpanSink, TelemetrySink,
+    TraceEvent,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
@@ -75,7 +77,7 @@ proptest! {
                 .collect(),
             policies: policy_picks
                 .iter()
-                .map(|&i| actor_suite::cluster::POLICY_NAMES[i].to_string())
+                .map(|&i| POLICY_NAMES[i].to_string())
                 .collect(),
             seeds: vec![seed],
             workload: test_workload,
@@ -138,8 +140,21 @@ fn memory_sink_captures_every_event_kind_end_to_end() {
     assert_eq!(count("job_start"), spec.workload.num_jobs);
     assert_eq!(count("job_completion"), spec.workload.num_jobs);
     assert_eq!(report.outcomes.len(), spec.workload.num_jobs);
-    assert!(count("decision") > 0, "the coordinator plans through the control plane");
     assert!(count("redistribute") > 0, "every scheduling event redistributes the budget");
+    // The coordinator prices its menus from the models' untraced cap
+    // tables and plans through its control plane only the jobs it admits:
+    // exactly one decision per phase of each started job.
+    let phases: HashMap<usize, usize> =
+        report.outcomes.iter().map(|o| (o.job.id, o.decisions.len())).collect();
+    let started_phases: usize = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::JobStart { job, .. } => Some(phases[job]),
+            _ => None,
+        })
+        .sum();
+    assert!(started_phases > 0);
+    assert_eq!(count("decision"), started_phases, "one decision per phase of each started job");
 
     let mut sampled_decisions = 0usize;
     for e in &events {
@@ -261,17 +276,20 @@ fn memory_sink_overhead_is_under_five_percent() {
 
 /// A traced sweep emits exactly one `SweepCell` record per cell (every
 /// index exactly once), and a registry fanned into the same run counts
-/// them — the registry-as-sink path the bench bins publish from.
+/// them — the registry-as-sink path the bench bins publish from. The
+/// decision count does not depend on the worker count: coordinated cells
+/// read cap tables that whichever cell needs them first builds, untraced.
 #[test]
 fn traced_sweep_emits_one_cell_record_per_cell() {
     let spec = SweepSpec {
         nodes: vec![2],
         budgets: vec![("ample".into(), 1.0)],
-        policies: vec!["fcfs".into(), "power-aware".into()],
+        policies: vec!["fcfs".into(), "power-aware".into(), "power-aware-coordinated".into()],
         seeds: vec![1, 2, 3],
         workload: test_workload,
         ..SweepSpec::default()
     };
+    let mut decisions = Vec::new();
     for jobs in [1usize, 4] {
         let memory = Arc::new(MemorySink::new());
         let registry = Arc::new(MetricsRegistry::new());
@@ -292,5 +310,56 @@ fn traced_sweep_emits_one_cell_record_per_cell() {
         assert_eq!(indices, (0..spec.len()).collect::<Vec<_>>(), "jobs={jobs}");
         assert_eq!(registry.counter("sweep_cell"), spec.len() as u64, "jobs={jobs}");
         assert!(registry.counter("decision") > 0, "jobs={jobs}");
+        decisions.push(registry.counter("decision"));
     }
+    assert_eq!(decisions[0], decisions[1], "decisions at jobs 1 and 4");
+}
+
+/// In-process sweep events carry their cell: each cell runs under its own
+/// index on the thread executing it, so a `SpanSink` stamps every cluster
+/// event and decision of a `jobs = 2` sweep with a cell that has a
+/// `sweep_cell` record, and concurrent cells' job ids (all starting at 0)
+/// stay apart in one trace.
+#[test]
+fn in_process_sweep_events_carry_their_cell() {
+    let spec = SweepSpec {
+        nodes: vec![2, 4],
+        budgets: vec![("tight".into(), 0.5)],
+        policies: POLICY_NAMES.map(String::from).to_vec(),
+        seeds: vec![1, 2],
+        workload: test_workload,
+        ..SweepSpec::default()
+    };
+    let memory = Arc::new(MemorySink::new());
+    let span: SharedSink = Arc::new(SpanSink::new(memory.clone() as SharedSink, 1, "sweep"));
+    run_sweep_fleet(&spec, fleet(), 2, Some(span), |_, _, _| {}).unwrap();
+
+    let events = memory.spanned_events();
+    let cells: BTreeSet<u64> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::SweepCell { index, .. } => Some(index as u64),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cells, (0..spec.len() as u64).collect());
+    let mut first_arrivals = Vec::new();
+    let mut stamped = 0usize;
+    for e in &events {
+        let kind = e.event.kind();
+        if !["job_arrival", "job_start", "job_completion", "decision", "redistribute"]
+            .contains(&kind)
+        {
+            continue;
+        }
+        let cell = e.span.as_ref().and_then(|s| s.cell);
+        assert!(cell.is_some_and(|c| cells.contains(&c)), "{kind} stamped with cell {cell:?}");
+        stamped += 1;
+        if let TraceEvent::JobArrival { job: 0, .. } = e.event {
+            first_arrivals.push(cell.unwrap());
+        }
+    }
+    assert!(stamped > spec.len());
+    first_arrivals.sort_unstable();
+    assert_eq!(first_arrivals, (0..spec.len() as u64).collect::<Vec<_>>(), "job 0 once per cell");
 }
