@@ -43,9 +43,9 @@ use crate::policy::{plan_via_plane, Assignment, SchedContext, SchedulerPolicy};
 use crate::profile::ExecutionPlan;
 
 /// Slack tolerance for the coordinator's internal floating-point budget
-/// arithmetic and the cap tables' probe arithmetic (same as
-/// `assign_in_order`'s headroom check; the cluster's own cap enforcement
-/// and [`validate_caps`] use the looser [`VALIDATE_EPS`]).
+/// arithmetic and the cap tables' probe arithmetic (same as the queue-order
+/// policies' headroom check; the cluster's own cap enforcement and
+/// [`validate_caps`] use the looser [`VALIDATE_EPS`]).
 pub(crate) const EPS: f64 = 1e-9;
 
 /// Tolerance of the post-hoc cap validation, matching the cluster event

@@ -23,11 +23,13 @@
 //!   A [`fleet::FleetModel`] holds one per machine generation; it is the
 //!   model every simulation, policy and sweep takes, a uniform cluster
 //!   being a one-generation fleet.
-//! * [`policy`] — the [`policy::SchedulerPolicy`] trait and three built-ins:
-//!   strict FCFS, EASY backfill, and the power-aware policy — the latter
-//!   generic over any [`actor_core::PowerPerfController`], so the ANN
-//!   ensembles, an oracle or a static baseline drop into the cluster loop
-//!   interchangeably. New policies are one file each.
+//! * [`policy`] — the [`policy::SchedulerPolicy`] trait and the built-ins:
+//!   strict FCFS, EASY backfill, and the power-aware pair, which run the
+//!   fleet's ANN decision table ([`actor_core::DecisionTableController`])
+//!   through a control plane; [`coordinator`] adds the coordinated policy.
+//!   Every built-in prices queued jobs from the models' per-benchmark cap
+//!   tables and plans only the jobs it starts. New policies are one file
+//!   each.
 //! * [`cluster`] — the discrete-event loop, cap enforcement, and
 //!   [`cluster::ClusterReport`]; [`tables`] renders per-job and
 //!   cluster-level reports as [`actor_core::report::Table`]s.

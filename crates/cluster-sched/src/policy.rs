@@ -11,18 +11,20 @@
 //! * [`BackfillPolicy`] — EASY backfill: a reservation is computed for the
 //!   blocked head job, and later jobs may jump ahead only if they finish
 //!   before that reservation (they cannot delay the head).
-//! * [`PowerAwarePolicy`] — controller-driven: generic over any
-//!   [`PowerPerfController`]; per job phase it observes the phase's sampling
-//!   window and asks the controller for the best configuration under the
-//!   per-node share of the remaining power headroom. With the default
-//!   [`DecisionTableController`] (the model's ANN decisions) this is ACTOR's
-//!   prediction path; an oracle or static controller drops in unchanged.
+//! * [`PowerAwarePolicy`] — ACTOR under the cap: per job phase, the fleet's
+//!   decision table ([`DecisionTableController`], the model's ANN
+//!   decisions) picks the best configuration under the per-node share of
+//!   the remaining power headroom.
+//!
+//! The three share one placement loop, which prices queued jobs from the
+//! models' cap tables and builds an [`ExecutionPlan`] only for jobs that
+//! start.
 //!
 //! Jobs are gang-scheduled: a k-node job needs k idle nodes at once, draws
 //! k × its per-node plan peak, and every node runs the same plan.
 
 use actor_core::control_plane::ControlPlane;
-use actor_core::controller::{DecisionTableController, DvfsSpace, PowerPerfController};
+use actor_core::controller::{DecisionTableController, DvfsSpace};
 use phase_rt::MachineShape;
 use xeon_sim::Configuration;
 
@@ -30,7 +32,7 @@ use crate::coordinator::CoordinatedPowerPolicy;
 use crate::error::SchedError;
 use crate::fleet::{FleetModel, MAX_GENS};
 use crate::job::Job;
-use crate::profile::{ExecutionPlan, WorkloadModel};
+use crate::profile::{CapTable, ExecutionPlan, PlanRate, WorkloadModel};
 
 /// A running job as policies see it (for reservations).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,45 +176,94 @@ pub fn policy_by_name_fleet(
     }
 }
 
-/// Greedy in-order assignment helper shared by FCFS and power-aware: walks
-/// the queue, planning each job via `plan_job(job, node_cap, gen)`; stops at
-/// the first job that cannot start (strict queue discipline).
-///
-/// Gangs stay within one generation (an SPMD gang runs one plan, priced for
-/// one machine), and each job is placed on the generation with enough free
-/// nodes whose plan finishes soonest.
-fn assign_in_order(
+/// The placement loop behind [`FcfsPolicy`], [`BackfillPolicy`] and
+/// [`PowerAwarePolicy`]. Walking the queue in order, it prices each job by
+/// `price(table, node_cap)` on every generation with enough free nodes
+/// (`node_cap` is the generation's per-node share of the headroom; `None`
+/// rules the generation out) and places it on the fastest one whose price
+/// fits the headroom, ties to the lower index. Gangs stay within one generation (an
+/// SPMD gang runs one plan, priced for one machine). Only a job that starts
+/// is planned, by `plan(model, job, node_cap)`, which must cost what
+/// `price` said. The first job that fits nowhere ends a strict pass; EASY
+/// `backfill` reserves its start and lets later jobs jump it only if they
+/// finish by then.
+fn place_in_order(
     ctx: &SchedContext<'_>,
-    mut plan_job: impl FnMut(&Job, f64, usize) -> Option<ExecutionPlan>,
+    backfill: bool,
+    price: impl Fn(&CapTable, f64) -> Option<PlanRate>,
+    mut plan: impl FnMut(&WorkloadModel, &Job, f64) -> ExecutionPlan,
 ) -> Vec<Assignment> {
     let mut out = Vec::new();
-    let mut headroom = ctx.headroom_w();
     let mut free_by_gen = ctx.free_by_gen();
+    let mut total_free = ctx.idle_nodes.len();
+    let mut headroom = ctx.headroom_w();
+    // Jobs started in this pass, visible to the reservation computation.
+    let mut started: Vec<RunningSummary> = Vec::new();
+    // Start time reserved for the blocked head.
+    let mut reservation: Option<f64> = None;
     for (queue_idx, job) in ctx.queue.iter().enumerate() {
         let k = job.nodes;
-        let mut best: Option<(usize, ExecutionPlan)> = None;
+        // (generation, node cap, execution time, per-node peak) of the
+        // fastest fit.
+        let mut best: Option<(usize, f64, f64, f64)> = None;
         for (gen, free) in free_by_gen.iter().enumerate() {
             if free.len() < k {
                 continue;
             }
             let idle_w = ctx.gen_idle_w(gen);
             let node_cap = headroom / k as f64 + idle_w;
-            let Some(plan) = plan_job(job, node_cap, gen) else { continue };
-            if (plan.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
+            let table = ctx.gen_model(gen).cap_table(job.benchmark);
+            let Some(rate) = price(table, node_cap) else { continue };
+            if (rate.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
                 continue;
             }
-            // Fastest wins; ties go to the lower generation index, so the
-            // choice is deterministic.
-            if best.as_ref().is_none_or(|(_, b)| plan.exec_time_s < b.exec_time_s) {
-                best = Some((gen, plan));
+            let time_s = rate.exec_time_s(table.timesteps(job));
+            if best.is_none_or(|(_, _, b, _)| time_s < b) {
+                best = Some((gen, node_cap, time_s, rate.peak_power_w));
             }
         }
-        let Some((gen, plan)) = best else { break };
-        headroom -= (plan.peak_power_w - ctx.gen_idle_w(gen)) * k as f64;
-        let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
-        out.push(Assignment { queue_idx, nodes, plan });
+        match best {
+            // EASY condition: once the head is blocked, a job may only
+            // jump it if it releases its nodes and power before the
+            // head's reservation, so it cannot delay the head.
+            Some((gen, node_cap, time_s, peak_w))
+                if reservation.is_none_or(|t| ctx.now + time_s <= t + 1e-9) =>
+            {
+                headroom -= (peak_w - ctx.gen_idle_w(gen)) * k as f64;
+                started.push(RunningSummary {
+                    finish_s: ctx.now + time_s,
+                    nodes: k,
+                    node_peak_w: peak_w,
+                });
+                total_free -= k;
+                let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
+                let plan = plan(ctx.gen_model(gen), job, node_cap);
+                debug_assert!(
+                    plan.peak_power_w.to_bits() == peak_w.to_bits()
+                        && plan.exec_time_s.to_bits() == time_s.to_bits(),
+                    "a started job's plan disagrees with its cap-table price"
+                );
+                out.push(Assignment { queue_idx, nodes, plan });
+            }
+            // The head blocks: reserve its start, then try backfill.
+            _ if backfill && reservation.is_none() => {
+                reservation = Some(BackfillPolicy::reservation_time(
+                    ctx, &started, total_free, headroom, job,
+                ));
+            }
+            _ if backfill => {}
+            _ => break,
+        }
+        if total_free == 0 {
+            break;
+        }
     }
     out
+}
+
+/// The plan of the queue-order policies: every phase at four cores.
+fn plan_four(model: &WorkloadModel, job: &Job, _node_cap: f64) -> ExecutionPlan {
+    model.plan_fixed(job, Configuration::Four)
 }
 
 /// Strict FCFS at maximal concurrency.
@@ -225,10 +276,8 @@ impl SchedulerPolicy for FcfsPolicy {
     }
 
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        assign_in_order(ctx, |job, node_cap, gen| {
-            let plan = ctx.gen_model(gen).plan_fixed(job, Configuration::Four);
-            (plan.peak_power_w <= node_cap).then_some(plan)
-        })
+        let price = |t: &CapTable, node_cap| (t.four.peak_power_w <= node_cap).then_some(t.four);
+        place_in_order(ctx, false, price, plan_four)
     }
 }
 
@@ -282,82 +331,21 @@ impl SchedulerPolicy for BackfillPolicy {
     /// The head's reservation is approximated on the pooled node count with
     /// the [`SchedContext::pool_gen`] plan peak — exact per-generation
     /// reservations would need per-generation release tracking for a corner
-    /// the EASY condition already keeps conservative. Jobs are priced from
-    /// the cap tables' four-core rates; only jobs that start get a plan.
+    /// the EASY condition already keeps conservative.
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut free_by_gen = ctx.free_by_gen();
-        let mut total_free = ctx.idle_nodes.len();
-        let mut headroom = ctx.headroom_w();
-        // Jobs started in this pass, visible to the reservation computation.
-        let mut started: Vec<RunningSummary> = Vec::new();
-        // Start time reserved for the blocked head.
-        let mut reservation: Option<f64> = None;
-        for (queue_idx, job) in ctx.queue.iter().enumerate() {
-            let k = job.nodes;
-            // (generation, execution time, per-node peak) of the fastest fit.
-            let mut best: Option<(usize, f64, f64)> = None;
-            for (gen, free) in free_by_gen.iter().enumerate() {
-                if free.len() < k {
-                    continue;
-                }
-                let table = ctx.gen_model(gen).cap_table(job.benchmark);
-                let (time_s, peak_w) =
-                    (table.four.exec_time_s(table.timesteps(job)), table.four.peak_power_w);
-                if (peak_w - ctx.gen_idle_w(gen)) * k as f64 > headroom + 1e-9 {
-                    continue;
-                }
-                if best.is_none_or(|(_, b, _)| time_s < b) {
-                    best = Some((gen, time_s, peak_w));
-                }
-            }
-            match best {
-                // EASY condition: once the head is blocked, a job may only
-                // jump it if it releases its nodes and power before the
-                // head's reservation, so it cannot delay the head.
-                Some((gen, time_s, peak_w))
-                    if reservation.is_none_or(|t| ctx.now + time_s <= t + 1e-9) =>
-                {
-                    headroom -= (peak_w - ctx.gen_idle_w(gen)) * k as f64;
-                    started.push(RunningSummary {
-                        finish_s: ctx.now + time_s,
-                        nodes: k,
-                        node_peak_w: peak_w,
-                    });
-                    total_free -= k;
-                    let nodes: Vec<usize> = free_by_gen[gen].drain(..k).collect();
-                    let plan = ctx.gen_model(gen).plan_fixed(job, Configuration::Four);
-                    out.push(Assignment { queue_idx, nodes, plan });
-                }
-                _ if reservation.is_none() => {
-                    // Head blocks: reserve its start, then try backfill.
-                    reservation =
-                        Some(Self::reservation_time(ctx, &started, total_free, headroom, job));
-                }
-                _ => {}
-            }
-            if total_free == 0 {
-                break;
-            }
-        }
-        out
+        place_in_order(ctx, true, |table, _| Some(table.four), plan_four)
     }
 }
 
 /// Plans one job through a [`ControlPlane`]: per phase, observe the
-/// sampling window once, ask the wrapped controller for its joint
+/// sampling window once, ask the decision table for its joint
 /// (configuration, frequency) decision under `node_cap`, and cost the
 /// resulting plan. Shared by [`PowerAwarePolicy`] (per-job equal headroom
-/// shares) and the coordinator (the admitted jobs' redistributed caps).
-///
-/// A contract violation panics: the conformance harness rejects such
-/// controllers up front, and a defective decision must fail loudly rather
-/// than let the job starve behind what would be misreported as a
-/// power-budget problem
-/// ([`actor_core::controller::validate_decision`] — applied inside the
-/// plane — is the contract's one definition).
-pub(crate) fn plan_via_plane<C: PowerPerfController>(
-    plane: &mut ControlPlane<C>,
+/// shares) and the coordinator (the admitted jobs' redistributed caps). A
+/// decision the plane rejects
+/// ([`actor_core::controller::validate_decision`]) panics.
+pub(crate) fn plan_via_plane(
+    plane: &mut ControlPlane<DecisionTableController>,
     model: &WorkloadModel,
     job: &Job,
     node_cap: f64,
@@ -374,10 +362,10 @@ pub(crate) fn plan_via_plane<C: PowerPerfController>(
 /// (decide is a pure function of construction state + observations — the
 /// conformance contract — and each phase's sampling window is observed
 /// exactly once, here) the result depends only on `(benchmark, node_cap)`,
-/// which is what lets a model price it once per probe cap in its
+/// which is what lets a model price it once per cap bucket in its
 /// [`crate::profile::CapTable`].
-pub(crate) fn decide_choices_via_plane<C: PowerPerfController>(
-    plane: &mut ControlPlane<C>,
+pub(crate) fn decide_choices_via_plane(
+    plane: &mut ControlPlane<DecisionTableController>,
     model: &WorkloadModel,
     benchmark: npb_workloads::BenchmarkId,
     node_cap: f64,
@@ -406,25 +394,14 @@ pub(crate) fn decide_choices_via_plane<C: PowerPerfController>(
     choices
 }
 
-/// Controller-driven power-aware scheduling: per phase, whatever
-/// configuration the wrapped [`PowerPerfController`] decides under the
-/// per-node share of the current headroom. The observe → decide cycle is
-/// the shared [`ControlPlane`] — the same plumbing that drives the Figure-8
-/// harness and the live runtime — so the policy body is only the scheduling
-/// mechanics.
-///
-/// With the default [`DecisionTableController`] built from the workload
-/// model (the ANN ensembles' offline decisions) this reproduces ACTOR's
-/// prediction path; swapping in an [`actor_core::OracleController`] or
-/// [`actor_core::StaticController`] changes the decision-maker without
-/// touching the scheduling mechanics — the plane feeds each phase's
-/// sampling window to the controller exactly once (the model has one
-/// sampling window per phase; replaying it at every scheduling event would
-/// corrupt exploration-counting controllers), asks for a decision, and the
-/// cluster's cap enforcement handles the rest.
+/// ACTOR under the cap: per phase, the configuration the fleet's decision
+/// table picks under the per-node share of the current headroom. Queued
+/// jobs are priced from the cap tables' buckets for the policy's menu; a
+/// job that starts is planned through the policy's [`ControlPlane`], so a
+/// traced run records one `decision` per phase of each started job.
 #[derive(Debug)]
-pub struct PowerAwarePolicy<C: PowerPerfController = DecisionTableController> {
-    plane: ControlPlane<C>,
+pub struct PowerAwarePolicy {
+    plane: ControlPlane<DecisionTableController>,
     /// Whether to offer the node machine's frequency ladder to the
     /// controller, widening decisions to the joint (threads × frequency)
     /// space: a job that would not fit its cap share at nominal frequency
@@ -432,9 +409,11 @@ pub struct PowerAwarePolicy<C: PowerPerfController = DecisionTableController> {
     dvfs: bool,
 }
 
-impl<C: PowerPerfController> PowerAwarePolicy<C> {
-    /// Wraps an arbitrary controller (DCT-only: nominal frequency).
-    pub fn new(controller: C) -> Self {
+impl PowerAwarePolicy {
+    /// Wraps the fleet's decision table
+    /// ([`FleetModel::decision_table`]), whose decisions the cap tables
+    /// were priced with (DCT-only: nominal frequency).
+    pub fn new(controller: DecisionTableController) -> Self {
         Self { plane: ControlPlane::new(controller, MachineShape::quad_core()), dvfs: false }
     }
 
@@ -444,14 +423,9 @@ impl<C: PowerPerfController> PowerAwarePolicy<C> {
         self.dvfs = true;
         self
     }
-
-    /// The wrapped controller.
-    pub fn controller(&self) -> &C {
-        self.plane.controller()
-    }
 }
 
-impl<C: PowerPerfController> SchedulerPolicy for PowerAwarePolicy<C> {
+impl SchedulerPolicy for PowerAwarePolicy {
     fn name(&self) -> &'static str {
         if self.dvfs {
             "power-aware-dvfs"
@@ -461,15 +435,13 @@ impl<C: PowerPerfController> SchedulerPolicy for PowerAwarePolicy<C> {
     }
 
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        // Ask the controller for the best configuration per phase under the
-        // per-node share of the current headroom. A plan whose peak exceeds
-        // the headroom makes the job wait (strict order, like FCFS) via the
-        // budget check in `assign_in_order`.
-        let plane = &mut self.plane;
-        let dvfs = self.dvfs;
-        assign_in_order(ctx, |job, node_cap, gen| {
-            Some(plan_via_plane(plane, ctx.gen_model(gen), job, node_cap, dvfs))
-        })
+        let (plane, dvfs) = (&mut self.plane, self.dvfs);
+        place_in_order(
+            ctx,
+            false,
+            |table, node_cap| Some(table.rate_at(node_cap, dvfs)),
+            |model, job, node_cap| plan_via_plane(plane, model, job, node_cap, dvfs),
+        )
     }
 
     fn set_telemetry(&mut self, sink: actor_core::telemetry::SharedSink) {
@@ -718,32 +690,5 @@ mod tests {
         for name in POLICY_NAMES {
             assert!(msg.contains(name), "error message must list {name}: {msg}");
         }
-    }
-
-    #[test]
-    fn power_aware_is_generic_over_controllers() {
-        use actor_core::controller::StaticController;
-
-        let fleet = fleet();
-        let model = fleet.reference();
-        let queue = vec![job(0, BenchmarkId::Is, 1)];
-        let idle = [0usize];
-
-        // A static four-core controller in the power-aware mechanics behaves
-        // like FCFS: it never throttles, so a tight budget blocks the job...
-        let four_w = model.plan_fixed(&queue[0], Configuration::Four).peak_power_w;
-        let budget = IDLE_W + (four_w - IDLE_W) * 0.5;
-        let mut static_policy = PowerAwarePolicy::new(StaticController::os_default());
-        assert!(static_policy.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[])).is_empty());
-
-        // ...while the default ANN-table controller throttles the job in.
-        let mut ann_policy = PowerAwarePolicy::new(fleet.decision_table());
-        let a = ann_policy.assign(&ctx(&fleet, &queue, &idle, budget, IDLE_W, &[]));
-        assert_eq!(a.len(), 1);
-
-        // With ample budget the static controller schedules at full width.
-        let a = static_policy.assign(&ctx(&fleet, &queue, &idle, 10_000.0, IDLE_W, &[]));
-        assert_eq!(a.len(), 1);
-        assert!(a[0].plan.decisions.iter().all(|(_, c)| *c == Configuration::Four));
     }
 }

@@ -8,7 +8,7 @@
 //! running job J at configuration c cost, and what throughput does the ANN
 //! predict?" without re-running the pipeline per job. Pricing a job that
 //! may never start needs no [`ExecutionPlan`]: each benchmark's cap table,
-//! built once per model, prices it with one multiply.
+//! built once per model, prices it with one lookup and one multiply.
 
 use std::sync::OnceLock;
 
@@ -238,19 +238,27 @@ impl PlanRate {
 }
 
 /// One benchmark's job-independent prices on one model
-/// ([`WorkloadModel::cap_table`]). A conformant controller's decision is a
-/// pure, piecewise-constant function of the cap (conformance check 8), and
-/// every plan peak is some phase's joint-cell power, so one probe per
-/// distinct cell power enumerates every plan the decision table can pick;
-/// probes whose plan overdraws the cap are dropped.
+/// ([`WorkloadModel::cap_table`]). A cell is admitted when its power is at
+/// most the cap, so a phase's decision changes only where the cap crosses
+/// one of its cell powers (conformance check 8, and the argument of
+/// [`actor_core::controller::InternedJointPolicy`]). Between neighbouring
+/// cell powers of all phases the whole plan is fixed: one bucket per gap
+/// prices every cap in it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CapTable {
     /// The profile's base timestep count ([`CapTable::timesteps`]).
     pub base_timesteps: usize,
     /// The rate of [`WorkloadModel::plan_fixed`] at [`Configuration::Four`].
     pub four: PlanRate,
+    /// The DCT-only (nominal-frequency) menu's buckets as `(lowest cap W,
+    /// rate)`: −∞, then every distinct cell power (exact `==`), ascending.
+    /// Infeasible buckets, where a phase admits no cell and falls back to
+    /// its cheapest, are kept: their plans are what a policy prices.
+    nominal: Vec<(f64, PlanRate)>,
+    /// The joint DVFS+DCT menu's buckets, laid out like `nominal`.
+    joint: Vec<(f64, PlanRate)>,
     /// `(probe cap W, rate)` of every feasible probe, caps ascending: the
-    /// joint DVFS+DCT plan the decision table picks under that cap.
+    /// joint thresholds deduplicated within [`EPS`] whose plan fits them.
     pub rows: Vec<(f64, PlanRate)>,
 }
 
@@ -258,6 +266,14 @@ impl CapTable {
     /// `job`'s effective timestep count on this benchmark.
     pub(crate) fn timesteps(&self, job: &Job) -> usize {
         job.effective_timesteps(self.base_timesteps)
+    }
+
+    /// The rate of the plan `plan_via_plane` builds at `cap_w` on the joint
+    /// menu (`dvfs`) or the nominal one, bit for bit at any non-NaN cap (a
+    /// NaN cap reads the bucket below every cell).
+    pub(crate) fn rate_at(&self, cap_w: f64, dvfs: bool) -> PlanRate {
+        let buckets = if dvfs { &self.joint } else { &self.nominal };
+        buckets[buckets.partition_point(|&(t, _)| t <= cap_w).saturating_sub(1)].1
     }
 }
 
@@ -377,26 +393,33 @@ impl WorkloadModel {
     /// untraced control plane over [`Self::decision_table`] and shared from
     /// then on by every cell and thread holding the model. A plane over the
     /// same decisions (the fleet's table holds every generation's) rebuilds
-    /// any row's plan at that row's cap.
+    /// any bucket's plan at any cap in that bucket.
     pub(crate) fn cap_table(&self, id: BenchmarkId) -> &CapTable {
         let k = self.knowledge(id);
         k.cap_table.get_or_init(|| {
             let four = self.rate_with(k, |_| (Configuration::Four, FreqStep::NOMINAL)).0;
-            let cells = k.phases.iter().flat_map(PhaseKnowledge::joint_candidates);
-            let mut caps: Vec<f64> = cells.filter_map(|cell| cell.avg_power_w).collect();
-            caps.sort_by(f64::total_cmp);
-            caps.dedup_by(|a, b| (*a - *b).abs() < EPS);
             let mut plane = ControlPlane::new(self.decision_table(), MachineShape::quad_core());
-            let rows = caps
-                .into_iter()
-                .filter_map(|cap_w| {
+            let mut buckets = |dvfs: bool| {
+                // The nominal menu is the joint menu's nominal-step cells.
+                let cells = k.phases.iter().flat_map(PhaseKnowledge::joint_candidates);
+                let menu = cells.filter(|cell| dvfs || cell.step.is_nominal());
+                let mut caps: Vec<f64> = menu.filter_map(|cell| cell.avg_power_w).collect();
+                caps.sort_by(f64::total_cmp);
+                caps.dedup();
+                // Each bucket is priced at its lowest cap.
+                let caps = std::iter::once(f64::NEG_INFINITY).chain(caps);
+                let priced = caps.map(|cap_w| {
                     let mut choices =
-                        decide_choices_via_plane(&mut plane, self, id, cap_w, true).into_iter();
-                    let (rate, _) = self.rate_with(k, |_| choices.next().expect("one per phase"));
-                    (rate.peak_power_w <= cap_w + EPS).then_some((cap_w, rate))
-                })
-                .collect();
-            CapTable { base_timesteps: k.profile.timesteps, four, rows }
+                        decide_choices_via_plane(&mut plane, self, id, cap_w, dvfs).into_iter();
+                    (cap_w, self.rate_with(k, |_| choices.next().expect("one per phase")).0)
+                });
+                priced.collect::<Vec<_>>()
+            };
+            let (nominal, joint) = (buckets(false), buckets(true));
+            let mut rows = joint[1..].to_vec();
+            rows.dedup_by(|a, b| (a.0 - b.0).abs() < EPS);
+            rows.retain(|&(cap_w, rate)| rate.peak_power_w <= cap_w + EPS);
+            CapTable { base_timesteps: k.profile.timesteps, four, nominal, joint, rows }
         })
     }
 
@@ -661,13 +684,19 @@ mod tests {
         let _ = m.plan_with_joint(&j, |_| (Configuration::Four, FreqStep::new(99)));
     }
 
-    /// Every row of every cap table prices a job exactly like the plan it
-    /// stands for: on each generation of a mixed fleet, for each benchmark
-    /// and each effective timestep count up to twice the base, the row's
-    /// peak and `time_per_timestep × T` equal, bit for bit, the plan
-    /// `plan_via_plane` builds at the row's cap through the fleet's
-    /// decision table — the plan the coordinator builds for an admitted
-    /// job. The four-core rate equals `plan_fixed` at four cores.
+    /// Every cap table prices a job exactly like the plan it stands for, on
+    /// each generation of a mixed fleet and for each benchmark, against the
+    /// plan `plan_via_plane` builds through the fleet's decision table:
+    ///
+    /// * both menus' buckets, at probe caps on each threshold, just below
+    ///   it, midway to the next one, below the lowest and above the
+    ///   highest, for several effective timestep counts: the looked-up
+    ///   peak and `time_per_timestep × T` equal the plan's, bit for bit
+    ///   (the prices the power-aware pair starts jobs by);
+    /// * every coordinator row at its own cap, for each effective timestep
+    ///   count up to twice the base (the plan the coordinator builds for an
+    ///   admitted job);
+    /// * the four-core rate against `plan_fixed` at four cores.
     #[test]
     fn cap_table_rows_price_jobs_bit_identically_to_their_plans() {
         use crate::fleet::{FleetModel, MachineMix};
@@ -686,10 +715,44 @@ mod tests {
                 assert!(std::ptr::eq(table, model.cap_table(id)), "built once, then shared");
                 let base = model.knowledge(id).profile.timesteps;
                 assert_eq!(table.base_timesteps, base);
+                let job_of = |t: usize| Job { duration_scale: t as f64 / base as f64, ..job(id) };
+                for dvfs in [false, true] {
+                    let buckets = if dvfs { &table.joint } else { &table.nominal };
+                    assert_eq!(buckets[0].0, f64::NEG_INFINITY, "bucket 0 sits below every cell");
+                    let t: Vec<f64> = buckets[1..].iter().map(|&(cap_w, _)| cap_w).collect();
+                    assert!(t.windows(2).all(|w| w[0] < w[1]), "distinct, ascending");
+                    let mut caps = vec![t[0] - 1.0, t[t.len() - 1] + 1.0];
+                    for (i, &cap_w) in t.iter().enumerate() {
+                        caps.extend([cap_w, cap_w.next_down()]);
+                        caps.extend(t.get(i + 1).map(|next| (cap_w + next) / 2.0));
+                    }
+                    for timesteps in [1, base, 2 * base + 1] {
+                        let j = job_of(timesteps);
+                        assert_eq!(table.timesteps(&j), timesteps);
+                        for &cap_w in &caps {
+                            let rate = table.rate_at(cap_w, dvfs);
+                            let plan = plan_via_plane(&mut plane, model, &j, cap_w, dvfs);
+                            let at = format!(
+                                "{}/{id}, dvfs {dvfs}, cap {cap_w} W, {timesteps} timesteps",
+                                gen.name
+                            );
+                            assert_eq!(
+                                rate.peak_power_w.to_bits(),
+                                plan.peak_power_w.to_bits(),
+                                "{at}"
+                            );
+                            assert_eq!(
+                                rate.exec_time_s(timesteps).to_bits(),
+                                plan.exec_time_s.to_bits(),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
                 assert!(!table.rows.is_empty(), "{}/{id}: no feasible cap", gen.name);
                 assert!(table.rows.windows(2).all(|w| w[0].0 < w[1].0));
                 for t in 1..=2 * base {
-                    let j = Job { duration_scale: t as f64 / base as f64, ..job(id) };
+                    let j = job_of(t);
                     assert_eq!(table.timesteps(&j), t);
                     let four = model.plan_fixed(&j, Configuration::Four);
                     assert_eq!(table.four.peak_power_w.to_bits(), four.peak_power_w.to_bits());

@@ -6,9 +6,10 @@
 //! trait. Every decision-maker in the workspace implements it, so the ANN
 //! predictor, the oracles and the baselines are drop-in interchangeable from
 //! a single node (the Figure-8 adaptation harness,
-//! [`crate::adaptation::adaptation_with_controller`]) all the way to the
-//! cluster scheduler (`cluster_sched::PowerAwarePolicy` is generic over this
-//! trait).
+//! [`crate::adaptation::adaptation_with_controller`]) to the live runtime
+//! ([`crate::runtime::ActorRuntime`]). The cluster scheduler's policies
+//! drive the fleet's [`DecisionTableController`], whose decisions their
+//! per-model cap tables are priced with.
 //!
 //! The protocol is observe-then-decide:
 //!

@@ -2,7 +2,8 @@
 //!
 //! * the refactored, `ControlPlane`-backed cluster policies schedule
 //!   byte-identically to the pre-refactor inline observe → decide loop
-//!   (for both `power-aware` and `power-aware-dvfs`, JSON included);
+//!   (for both `power-aware` and `power-aware-dvfs`, JSON included), on a
+//!   uniform and on a mixed-generation cluster;
 //! * the live `ThrottleMode::Controller` loop drives real `phase-rt`
 //!   kernels end to end (via the `ExperimentBuilder` facade) without
 //!   changing their numerics.
@@ -18,8 +19,9 @@ use actor_suite::actor::controller::{
 use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name_fleet, simulate_fleet, Assignment, ClusterSpec, FaultSpec,
-    FleetModel, MachineMix, SchedContext, SchedulerPolicy, WorkloadSpec,
+    budget_for_mix, budget_from_fraction, policy_by_name_fleet, simulate_fleet, Assignment,
+    ClusterSpec, ExecutionPlan, FaultSpec, FleetModel, Job, MachineMix, SchedContext,
+    SchedulerPolicy, WorkloadModel, WorkloadSpec,
 };
 use actor_suite::prelude::{ControllerSpec, ExperimentBuilder};
 use actor_suite::rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener, Team};
@@ -29,13 +31,21 @@ use actor_suite::workloads::BenchmarkId;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn fleet() -> FleetModel {
+fn fleet_with(mixes: &[MachineMix]) -> FleetModel {
     let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-    FleetModel::build(&config, &IDS, &[]).unwrap()
+    FleetModel::build(&config, &IDS, mixes).unwrap()
 }
 
-/// The pre-refactor power-aware policy, reconstructed verbatim: the
-/// observe → decide loop inlined against the controller, no `ControlPlane`.
+fn fleet() -> FleetModel {
+    fleet_with(&[])
+}
+
+/// The pre-refactor power-aware policy, reconstructed: the observe →
+/// decide loop inlined against the controller, no `ControlPlane`, no cap
+/// tables. Every job it looks at is planned through the controller on
+/// every generation with enough free nodes; the fastest plan that fits the
+/// headroom wins, ties going to the lower generation index, and the first
+/// job that fits nowhere blocks the queue.
 struct InlineLoopPowerAware {
     controller: DecisionTableController,
     shape: MachineShape,
@@ -52,6 +62,33 @@ impl InlineLoopPowerAware {
             dvfs,
         }
     }
+
+    /// One job's plan on `model` under a per-node cap of `node_cap` W.
+    fn plan(&mut self, model: &WorkloadModel, job: &Job, node_cap: f64) -> ExecutionPlan {
+        let ladder = model.freq_ladder();
+        let knowledge = model.knowledge(job.benchmark);
+        let mut choices = Vec::with_capacity(knowledge.phases.len());
+        for (idx, phase) in knowledge.phases.iter().enumerate() {
+            let pid = model.phase_id(job.benchmark, idx);
+            if self.observed.insert(pid) {
+                self.controller.observe(pid, &phase.sample());
+            }
+            let candidates: &[CandidatePerf] = phase.candidate_menu();
+            let joint = if self.dvfs { phase.joint_candidates() } else { &[] };
+            let decision = self.controller.decide(&DecisionCtx {
+                phase: pid,
+                shape: &self.shape,
+                candidates,
+                power_cap_w: Some(node_cap),
+                dvfs: self.dvfs.then_some(DvfsSpace { ladder, joint }),
+            });
+            let config =
+                validate_decision(&decision, &self.shape, ladder.len(), self.dvfs).unwrap();
+            choices.push((config, decision.freq_step));
+        }
+        let mut iter = choices.into_iter();
+        model.plan_with_joint(job, |_| iter.next().expect("one per phase"))
+    }
 }
 
 impl SchedulerPolicy for InlineLoopPowerAware {
@@ -64,89 +101,111 @@ impl SchedulerPolicy for InlineLoopPowerAware {
     }
 
     fn assign(&mut self, ctx: &SchedContext<'_>) -> Vec<Assignment> {
-        // A uniform reference cluster: every node is generation 0.
-        let (model, idle_w) = (ctx.fleet.reference(), ctx.fleet.gen(0).idle_w);
-        let ladder = model.freq_ladder();
+        // Idle nodes per generation, each list ascending.
+        let mut free = vec![Vec::new(); ctx.fleet.gens().len()];
+        for &n in ctx.idle_nodes {
+            free[ctx.gen_of(n)].push(n);
+        }
         let mut out = Vec::new();
-        let mut free: Vec<usize> = ctx.idle_nodes.to_vec();
         let mut headroom = ctx.headroom_w();
         for (queue_idx, job) in ctx.queue.iter().enumerate() {
             let k = job.nodes;
-            if free.len() < k {
-                break;
-            }
-            let node_cap = headroom / k as f64 + idle_w;
-            let knowledge = model.knowledge(job.benchmark);
-            let mut choices = Vec::with_capacity(knowledge.phases.len());
-            for (idx, phase) in knowledge.phases.iter().enumerate() {
-                let pid = model.phase_id(job.benchmark, idx);
-                if self.observed.insert(pid) {
-                    self.controller.observe(pid, &phase.sample());
+            let mut best: Option<(usize, ExecutionPlan)> = None;
+            for (gen, gen_free) in free.iter().enumerate() {
+                if gen_free.len() < k {
+                    continue;
                 }
-                let candidates: &[CandidatePerf] = phase.candidate_menu();
-                let joint = if self.dvfs { phase.joint_candidates() } else { &[] };
-                let decision = self.controller.decide(&DecisionCtx {
-                    phase: pid,
-                    shape: &self.shape,
-                    candidates,
-                    power_cap_w: Some(node_cap),
-                    dvfs: self.dvfs.then_some(DvfsSpace { ladder, joint }),
-                });
-                let config =
-                    validate_decision(&decision, &self.shape, ladder.len(), self.dvfs).unwrap();
-                choices.push((config, decision.freq_step));
+                let idle_w = ctx.gen_idle_w(gen);
+                let node_cap = headroom / k as f64 + idle_w;
+                let plan = self.plan(ctx.gen_model(gen), job, node_cap);
+                if (plan.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|(_, b)| plan.exec_time_s < b.exec_time_s) {
+                    best = Some((gen, plan));
+                }
             }
-            let mut iter = choices.into_iter();
-            let plan = model.plan_with_joint(job, |_| iter.next().expect("one per phase"));
-            if (plan.peak_power_w - idle_w) * k as f64 > headroom + 1e-9 {
-                break;
-            }
-            headroom -= (plan.peak_power_w - idle_w) * k as f64;
-            let nodes: Vec<usize> = free.drain(..k).collect();
+            let Some((gen, plan)) = best else { break };
+            headroom -= (plan.peak_power_w - ctx.gen_idle_w(gen)) * k as f64;
+            let nodes: Vec<usize> = free[gen].drain(..k).collect();
             out.push(Assignment { queue_idx, nodes, plan });
         }
         out
     }
 }
 
-#[test]
-fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
-    let fleet = fleet();
-    let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
-    for fraction in [0.45, 0.7, 1.0] {
-        let spec = ClusterSpec {
-            nodes: 4,
-            power_budget_w: budget_from_fraction(4, idle_w, 160.0, fraction),
-            machines: MachineMix::uniform(),
-            faults: FaultSpec::default(),
-            workload: WorkloadSpec {
-                num_jobs: 12,
-                mean_interarrival_s: 4.0,
-                benchmarks: IDS.to_vec(),
-                node_counts: vec![1, 1, 2],
-                ..Default::default()
-            },
-            seed: 99,
-        };
-        for dvfs in [false, true] {
-            let name = if dvfs { "power-aware-dvfs" } else { "power-aware" };
-            let mut inline = InlineLoopPowerAware::new(&fleet, dvfs);
-            let before = simulate_fleet(&spec, &fleet, &mut inline, None).unwrap();
-            let mut refactored = policy_by_name_fleet(name, &fleet).unwrap();
-            let after = simulate_fleet(&spec, &fleet, refactored.as_mut(), None).unwrap();
-            assert_eq!(
-                before, after,
-                "{name} at fraction {fraction}: the ControlPlane refactor changed the schedule"
-            );
-            // Byte-identity, not just structural equality: the emitted JSON
-            // (what `cluster_power_cap` persists) is the same string.
-            assert_eq!(
-                serde_json::to_string(&before).unwrap(),
-                serde_json::to_string(&after).unwrap(),
-                "{name} at fraction {fraction}: JSON diverged across the refactor"
-            );
+/// Runs both power-aware policies against the inline loop on `nodes` nodes
+/// of `machines` at every budget fraction (`budget_w` maps one to watts)
+/// and seed: the same schedule, byte for byte.
+fn assert_policies_match_the_inline_loop(
+    fleet: &FleetModel,
+    nodes: usize,
+    machines: MachineMix,
+    node_counts: Vec<usize>,
+    budget_w: impl Fn(f64) -> f64,
+) {
+    for fraction in [0.3, 0.45, 0.55, 0.7, 1.0] {
+        for seed in [99, 2007] {
+            let spec = ClusterSpec {
+                nodes,
+                power_budget_w: budget_w(fraction),
+                machines: machines.clone(),
+                faults: FaultSpec::default(),
+                workload: WorkloadSpec {
+                    num_jobs: 12,
+                    mean_interarrival_s: 16.0 / nodes as f64,
+                    benchmarks: IDS.to_vec(),
+                    node_counts: node_counts.clone(),
+                    ..Default::default()
+                },
+                seed,
+            };
+            for dvfs in [false, true] {
+                let name = if dvfs { "power-aware-dvfs" } else { "power-aware" };
+                let at = format!(
+                    "{name}, {nodes} {} nodes, fraction {fraction}, seed {seed}",
+                    machines.name
+                );
+                let mut inline = InlineLoopPowerAware::new(fleet, dvfs);
+                let before = simulate_fleet(&spec, fleet, &mut inline, None).unwrap();
+                let mut refactored = policy_by_name_fleet(name, fleet).unwrap();
+                let after = simulate_fleet(&spec, fleet, refactored.as_mut(), None).unwrap();
+                assert_eq!(before, after, "{at}: the policy changed the schedule");
+                // Byte-identity, not just structural equality: the emitted
+                // JSON (what `cluster_power_cap` persists) is the same string.
+                assert_eq!(
+                    serde_json::to_string(&before).unwrap(),
+                    serde_json::to_string(&after).unwrap(),
+                    "{at}: JSON diverged"
+                );
+            }
         }
     }
+}
+
+/// The tight fractions (0.3, 0.45, 0.55) keep heads blocked on power, so
+/// queued jobs are priced at events where they do not start.
+#[test]
+fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
+    let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
+    let uniform = |fraction| budget_from_fraction(4, idle_w, 160.0, fraction);
+    assert_policies_match_the_inline_loop(
+        &fleet(),
+        4,
+        MachineMix::uniform(),
+        vec![1, 1, 2],
+        uniform,
+    );
+    let mixed = MachineMix::by_name("mixed").unwrap();
+    let mixed_fleet = fleet_with(std::slice::from_ref(&mixed));
+    let mixed_budget = |fraction| budget_for_mix(8, &mixed, 160.0, fraction);
+    assert_policies_match_the_inline_loop(
+        &mixed_fleet,
+        8,
+        mixed.clone(),
+        vec![1, 1, 2, 4],
+        mixed_budget,
+    );
 }
 
 #[test]

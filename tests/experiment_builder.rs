@@ -1,7 +1,7 @@
 //! Deterministic-output tests for the API redesign: the `ExperimentBuilder`
 //! path must reproduce the historical free-function results bit-for-bit
-//! (same seeds ⇒ same tables), and the controller-generic power-aware
-//! cluster policy must schedule exactly like the old hard-wired ANN path.
+//! (same seeds ⇒ same tables), and the control-plane power-aware cluster
+//! policy must schedule exactly like the old hard-wired ANN path.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,35 +139,38 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
     let fleet = FleetModel::build(&fast_config(), &IDS, &[]).unwrap();
     let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
 
-    for fraction in [0.45, 0.7, 1.0] {
-        let spec = ClusterSpec {
-            nodes: 4,
-            power_budget_w: budget_from_fraction(4, idle_w, 160.0, fraction),
-            machines: MachineMix::uniform(),
-            faults: FaultSpec::default(),
-            workload: WorkloadSpec {
-                num_jobs: 12,
-                mean_interarrival_s: 4.0,
-                benchmarks: IDS.to_vec(),
-                node_counts: vec![1, 1, 2],
-                ..Default::default()
-            },
-            seed: 99,
-        };
-        let mut legacy = LegacyPowerAware;
-        let before = simulate_fleet(&spec, &fleet, &mut legacy, None).unwrap();
+    // The tight fractions (0.3, 0.45, 0.55) keep heads blocked on power.
+    for fraction in [0.3, 0.45, 0.55, 0.7, 1.0] {
+        for seed in [99, 2007] {
+            let spec = ClusterSpec {
+                nodes: 4,
+                power_budget_w: budget_from_fraction(4, idle_w, 160.0, fraction),
+                machines: MachineMix::uniform(),
+                faults: FaultSpec::default(),
+                workload: WorkloadSpec {
+                    num_jobs: 12,
+                    mean_interarrival_s: 4.0,
+                    benchmarks: IDS.to_vec(),
+                    node_counts: vec![1, 1, 2],
+                    ..Default::default()
+                },
+                seed,
+            };
+            let mut legacy = LegacyPowerAware;
+            let before = simulate_fleet(&spec, &fleet, &mut legacy, None).unwrap();
 
-        let mut generic = PowerAwarePolicy::new(fleet.decision_table());
-        let after = simulate_fleet(&spec, &fleet, &mut generic, None).unwrap();
-        assert_eq!(
-            before, after,
-            "budget fraction {fraction}: the controller-generic policy must schedule \
-             exactly like the pre-redesign ANN path"
-        );
+            let mut policy = PowerAwarePolicy::new(fleet.decision_table());
+            let after = simulate_fleet(&spec, &fleet, &mut policy, None).unwrap();
+            assert_eq!(
+                before, after,
+                "budget fraction {fraction}, seed {seed}: the control-plane policy must \
+                 schedule exactly like the pre-redesign ANN path"
+            );
 
-        // And the by-name constructor builds the same thing.
-        let mut by_name = policy_by_name_fleet("power-aware", &fleet).unwrap();
-        let by_name_report = simulate_fleet(&spec, &fleet, by_name.as_mut(), None).unwrap();
-        assert_eq!(before, by_name_report);
+            // And the by-name constructor builds the same thing.
+            let mut by_name = policy_by_name_fleet("power-aware", &fleet).unwrap();
+            let by_name_report = simulate_fleet(&spec, &fleet, by_name.as_mut(), None).unwrap();
+            assert_eq!(before, by_name_report);
+        }
     }
 }

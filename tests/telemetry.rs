@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
     budget_from_fraction, cluster_summary_row, policy_by_name_fleet, run_sweep_fleet,
-    simulate_fleet, ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepRun, SweepSpec,
-    WorkloadSpec, POLICY_NAMES,
+    simulate_fleet, ClusterReport, ClusterSpec, FaultSpec, FleetModel, MachineMix, SweepRun,
+    SweepSpec, WorkloadSpec, POLICY_NAMES,
 };
 use actor_suite::prelude::{
     MemorySink, MetricsRegistry, NullSink, RingSink, SharedSink, SpanSink, TelemetrySink,
@@ -144,17 +144,24 @@ fn memory_sink_captures_every_event_kind_end_to_end() {
     // The coordinator prices its menus from the models' untraced cap
     // tables and plans through its control plane only the jobs it admits:
     // exactly one decision per phase of each started job.
-    let phases: HashMap<usize, usize> =
-        report.outcomes.iter().map(|o| (o.job.id, o.decisions.len())).collect();
-    let started_phases: usize = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::JobStart { job, .. } => Some(phases[job]),
-            _ => None,
-        })
-        .sum();
-    assert!(started_phases > 0);
-    assert_eq!(count("decision"), started_phases, "one decision per phase of each started job");
+    assert_one_decision_per_started_phase(&events, &report, "power-aware-coordinated");
+
+    // So do the independent power-aware policies, even at a budget tight
+    // enough that heads wait for power and queued jobs are priced at
+    // events where they do not start.
+    for name in ["power-aware", "power-aware-dvfs"] {
+        let tight = ClusterSpec {
+            power_budget_w: budget_from_fraction(nodes, idle_w, 160.0, 0.45),
+            ..spec.clone()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let mut policy = policy_by_name_fleet(name, fleet).unwrap();
+        let report =
+            simulate_fleet(&tight, fleet, policy.as_mut(), Some(sink.clone() as SharedSink))
+                .unwrap();
+        assert!(report.outcomes.iter().any(|o| o.wait_s() > 0.0), "{name}: no job waited");
+        assert_one_decision_per_started_phase(&sink.events(), &report, name);
+    }
 
     let mut sampled_decisions = 0usize;
     for e in &events {
@@ -175,6 +182,27 @@ fn memory_sink_captures_every_event_kind_end_to_end() {
         }
     }
     assert!(sampled_decisions > 0, "some decide latencies must be measured");
+}
+
+/// Asserts that a traced run recorded exactly one `decision` per phase of
+/// each `job_start`: the policy planned only the jobs it started.
+fn assert_one_decision_per_started_phase(
+    events: &[TraceEvent],
+    report: &ClusterReport,
+    policy: &str,
+) {
+    let phases: HashMap<usize, usize> =
+        report.outcomes.iter().map(|o| (o.job.id, o.decisions.len())).collect();
+    let started_phases: usize = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::JobStart { job, .. } => Some(phases[job]),
+            _ => None,
+        })
+        .sum();
+    assert!(started_phases > 0, "{policy}: no job started");
+    let decisions = events.iter().filter(|e| e.kind() == "decision").count();
+    assert_eq!(decisions, started_phases, "{policy}: one decision per phase of each started job");
 }
 
 /// The facade path: a sink attached via `ExperimentBuilder::telemetry`
