@@ -5,11 +5,25 @@
 //! (crashes and recoveries from the seeded
 //! [`FaultTimeline`]); after each batch of
 //! simultaneous events the active [`SchedulerPolicy`] is consulted and its
-//! assignments applied. The cluster itself enforces the power budget on
-//! every assignment (a defective policy produces recorded violations, never
-//! an actually-breached cap) and tracks the instantaneous draw so the
-//! invariant "cluster power never exceeds the budget" is checkable after the
-//! fact.
+//! assignments applied. The loop keeps one record per running gang — the
+//! job, the one plan every member runs, the members, the start and finish,
+//! and the sequence number of its completion event — ordered by finish time
+//! and then lowest member; that order is the running view policies see. A
+//! completion event is live only while a gang holds its sequence number,
+//! and a crash finds its gang through the failed node's running job id.
+//! Nodes keep only their idle floor, health, slowdown, running job id with
+//! per-node peak, and energy ledger ([`Node`]).
+//!
+//! The cluster re-checks every assignment it applies: one that names a
+//! queued job twice, gives that job the wrong width, repeats a node, names
+//! a node outside the cluster or one that is busy or down, spans machine
+//! generations, or would push the draw over the budget is vetoed and
+//! counted in [`ClusterReport::cap_violations`], never applied. A node that
+//! recovers from a crash, however, returns its idle floor to the draw
+//! unchecked: a failed node draws 0 W, so policies may have handed its
+//! floor to other jobs, and the draw then exceeds the budget until enough
+//! work completes. [`ClusterReport::peak_power_w`] records such an
+//! over-draw; `cap_violations` does not.
 //!
 //! Nodes need not be identical: [`ClusterSpec::machines`] names a
 //! [`MachineMix`], and the cluster resolves each node's machine generation
@@ -19,8 +33,7 @@
 //! [`FaultPolicy`].
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use actor_core::telemetry::{SharedSink, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -29,7 +42,8 @@ use crate::error::ClusterError;
 use crate::fleet::{FleetModel, MachineMix};
 use crate::job::{Job, JobOutcome, WorkloadSpec};
 use crate::node::Node;
-use crate::policy::{RunningSummary, SchedContext, SchedulerPolicy};
+use crate::policy::{Assignment, RunningSummary, SchedContext, SchedulerPolicy};
+use crate::profile::ExecutionPlan;
 use crate::scenario::{fault_timeline, FaultPolicy, FaultSpec, FaultTimeline};
 
 /// Static description of a cluster run.
@@ -109,8 +123,8 @@ pub struct ClusterReport {
     pub total_energy_j: f64,
     /// Highest instantaneous cluster draw observed (W).
     pub peak_power_w: f64,
-    /// Assignments the cluster had to veto for breaching the budget (a
-    /// correct policy never produces any).
+    /// Assignments the cluster had to veto as malformed or for breaching
+    /// the budget (a correct policy never produces any).
     pub cap_violations: usize,
     /// Node crash events replayed from the fault timeline.
     pub node_failures: usize,
@@ -158,13 +172,10 @@ impl ClusterReport {
 #[derive(Debug, Clone, PartialEq)]
 enum EventKind {
     Arrival(Job),
-    /// A whole gang completes at once. The members live in the cluster's
-    /// gang table; the event is ignored as stale when the gang's
-    /// incarnation has moved on (a crash aborted the run it belongs to).
-    Completion {
-        job_id: usize,
-        incarnation: u32,
-    },
+    /// A whole gang completes at once: the running gang that holds this
+    /// event's `seq`. None does once a crash has aborted that run, and the
+    /// event is dropped as stale.
+    Completion,
     /// A node crashes (`fail`) or comes back, per the seeded timeline.
     NodeFault {
         node: usize,
@@ -219,27 +230,54 @@ fn enqueue(queue: &mut Vec<Job>, job: Job) {
     queue.insert(pos, job);
 }
 
-/// Cheap deterministic hasher for the gang-summary index: the keys are
-/// `(f64::to_bits, f64::to_bits)` pairs that are already well-mixed doubles,
-/// so two multiply-xor rounds beat SipHash by an order of magnitude on the
-/// scheduling pass without risking adversarial input (the keys come from the
-/// simulation itself).
-#[derive(Debug, Default)]
-struct GangKeyHasher(u64);
+/// One running gang: the job, the one plan all its members run, and when.
+#[derive(Debug)]
+struct Gang {
+    job: Job,
+    plan: ExecutionPlan,
+    /// Member nodes, in the order the policy assigned them.
+    members: Vec<usize>,
+    start_s: f64,
+    finish_s: f64,
+    /// Sequence number of this run's completion event.
+    seq: u64,
+}
 
-impl Hasher for GangKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl Gang {
+    /// Where the gang sorts among the running ones: by finish time, then
+    /// lowest member.
+    fn key(&self) -> (f64, usize) {
+        (self.finish_s, *self.members.iter().min().expect("a gang has members"))
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    /// `per_node` added once per member, in sequence (not multiplied by the
+    /// width, which would round differently).
+    fn sum_over_members(&self, per_node: f64) -> f64 {
+        self.members.iter().map(|_| per_node).sum()
+    }
+
+    /// Per-node energy of the run if a crash aborts it at `now`: the plan's
+    /// energy pro rata for the fraction executed.
+    fn aborted_share_j(&self, now: f64) -> f64 {
+        let span = self.finish_s - self.start_s;
+        let frac = if span > 0.0 { ((now - self.start_s) / span).clamp(0.0, 1.0) } else { 1.0 };
+        self.plan.energy_j * frac
+    }
+
+    /// The gang's outcome, ending at `now` with `energy_j` spent; the job,
+    /// its plan's decisions and the member list move into it.
+    fn into_outcome(self, now: f64, energy_j: f64, completed: bool) -> JobOutcome {
+        let peak_power_w = self.sum_over_members(self.plan.peak_power_w);
+        JobOutcome {
+            job: self.job,
+            start_s: self.start_s,
+            finish_s: now,
+            energy_j,
+            peak_power_w,
+            decisions: self.plan.decisions,
+            nodes: self.members,
+            completed,
         }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
     }
 }
 
@@ -270,7 +308,7 @@ impl<'a> Cluster<'a> {
         let mut nodes: Vec<Node> = node_gen
             .iter()
             .enumerate()
-            .map(|(id, &g)| Node::new(id, fleet.gen(g as usize).machine.clone()))
+            .map(|(id, &g)| Node::new(id, fleet.gen(g as usize).idle_w))
             .collect();
         for (node, &slowdown) in timeline.slowdowns.iter().enumerate() {
             nodes[node].set_slowdown(slowdown);
@@ -289,9 +327,31 @@ impl<'a> Cluster<'a> {
         self
     }
 
-    /// Current instantaneous cluster draw (W).
+    /// Current instantaneous cluster draw (W), summed in node order.
     fn draw_w(&self) -> f64 {
         self.nodes.iter().map(Node::power_draw_w).sum()
+    }
+
+    /// Whether `a` starts a job of `queue` on exactly that job's width of
+    /// distinct cluster nodes, all up, idle and of one machine generation
+    /// (its plan is priced for one).
+    fn well_formed(&self, a: &Assignment, queue: &[Job]) -> bool {
+        let members = &a.nodes;
+        queue.get(a.queue_idx).is_some_and(|job| job.nodes == members.len())
+            && members.iter().enumerate().all(|(i, &n)| {
+                n < self.nodes.len()
+                    && self.nodes[n].is_available()
+                    && self.node_gen[n] == self.node_gen[members[0]]
+                    && !members[..i].contains(&n)
+            })
+    }
+
+    /// Whether starting the well-formed `a` would lift the draw above the
+    /// budget: it adds Σ (plan peak − the member's idle draw).
+    fn overdraws(&self, a: &Assignment) -> bool {
+        let extra: f64 =
+            a.nodes.iter().map(|&n| a.plan.peak_power_w - self.nodes[n].idle_power_w()).sum();
+        self.draw_w() + extra > self.spec.power_budget_w + 1e-6
     }
 
     /// Runs the workload to completion under `policy`.
@@ -329,28 +389,19 @@ impl<'a> Cluster<'a> {
         let mut node_failures = 0usize;
         let mut killed_jobs = 0usize;
         let mut makespan_s = 0.0f64;
-        // Gang table: job id → (incarnation, members). The incarnation is
-        // bumped when a crash aborts the gang, so the completion event of
-        // the aborted run — still in the heap — arrives stale and is
-        // dropped, while a rescheduled rerun completes under the new
-        // incarnation.
-        let mut gangs: HashMap<usize, (u32, Vec<usize>)> = HashMap::new();
-        let mut incarnations: HashMap<usize, u32> = HashMap::new();
+        // The running gangs, ascending by `Gang::key`. A crash removes the
+        // gang it catches, so that run's completion event, still in the
+        // heap, finds no gang holding its `seq`; a rescheduled rerun gets
+        // a new one.
+        let mut running: Vec<Gang> = Vec::new();
 
         // Per-event scratch, hoisted out of the loop: a 256-node run visits
-        // hundreds of thousands of events, and rebuilding these five
-        // vectors per event made the allocator the hottest part of the
-        // simulation. Each is cleared (never shrunk) per event.
+        // hundreds of thousands of events, and rebuilding these vectors per
+        // event made the allocator the hottest part of the simulation. Each
+        // is cleared (never shrunk) per event.
         let mut batch: Vec<Event> = Vec::new();
-        let mut runs: Vec<crate::node::RunningJob> = Vec::new();
         let mut idle_nodes: Vec<usize> = Vec::new();
-        let mut running: Vec<RunningSummary> = Vec::new();
-        // Index over `running`: gang key → index of the *first* summary with
-        // that key. With hundreds of running single-node gangs a linear
-        // first-match scan per node is O(nodes × gangs) per scheduling pass —
-        // at 256 nodes it was two thirds of the whole simulation.
-        let mut running_index: HashMap<(u64, u64), usize, BuildHasherDefault<GangKeyHasher>> =
-            HashMap::default();
+        let mut summaries: Vec<RunningSummary> = Vec::new();
 
         while let Some(event) = heap.pop() {
             let now = event.time_s;
@@ -376,38 +427,29 @@ impl<'a> Cluster<'a> {
                         }
                         enqueue(&mut queue, job);
                     }
-                    EventKind::Completion { job_id, incarnation } => {
-                        let live = gangs.get(&job_id).is_some_and(|(inc, _)| *inc == incarnation);
-                        if !live {
+                    EventKind::Completion => {
+                        let Some(g) = running.iter().position(|g| g.seq == event.seq) else {
                             // A crash aborted this run after its completion
                             // was scheduled.
                             continue;
+                        };
+                        let gang = running.remove(g);
+                        for &node in &gang.members {
+                            self.nodes[node].release(now, gang.plan.energy_j);
                         }
-                        let (_, members) = gangs.remove(&job_id).expect("checked above");
-                        runs.clear();
-                        for &node in &members {
-                            runs.push(self.nodes[node].complete(now));
-                        }
-                        let energy_j: f64 = runs.iter().map(|r| r.plan.energy_j).sum();
-                        let peak_power_w: f64 = runs.iter().map(|r| r.plan.peak_power_w).sum();
+                        let energy_j = gang.sum_over_members(gang.plan.energy_j);
                         if let Some(sink) = &self.telemetry {
-                            let run = runs.first().expect("completions have members");
                             sink.record_owned(TraceEvent::JobCompletion {
                                 time_s: now,
-                                job: run.job.id,
-                                width: members.len(),
+                                job: gang.job.id,
+                                width: gang.members.len(),
                                 energy_j,
                             });
-                        }
-                        // The gang's node list travels by move: policy
-                        // assignment → gang table → outcome, never copied.
-                        let run = runs.swap_remove(0);
-                        if let Some(sink) = &self.telemetry {
-                            if let Some(deadline_s) = run.job.deadline_s {
+                            if let Some(deadline_s) = gang.job.deadline_s {
                                 if now > deadline_s {
                                     sink.record_owned(TraceEvent::SloViolated {
                                         time_s: now,
-                                        job: run.job.id,
+                                        job: gang.job.id,
                                         deadline_s,
                                         finish_s: now,
                                     });
@@ -415,16 +457,7 @@ impl<'a> Cluster<'a> {
                             }
                         }
                         makespan_s = makespan_s.max(now);
-                        outcomes.push(JobOutcome {
-                            job: run.job,
-                            start_s: run.start_s,
-                            finish_s: now,
-                            energy_j,
-                            peak_power_w,
-                            decisions: run.plan.decisions,
-                            nodes: members,
-                            completed: true,
-                        });
+                        outcomes.push(gang.into_outcome(now, energy_j, true));
                     }
                     EventKind::NodeFault { node, fail } => {
                         if !fail {
@@ -438,69 +471,41 @@ impl<'a> Cluster<'a> {
                         if let Some(sink) = &self.telemetry {
                             sink.record_owned(TraceEvent::NodeFailed { time_s: now, node });
                         }
-                        let Some(run) = self.nodes[node].fail(now) else { continue };
-                        // The crash caught a gang mid-run: abort every
-                        // member (each charges its pro-rata energy) and
-                        // retire this incarnation.
-                        let job_id = run.job.id;
-                        let (inc, members) =
-                            gangs.remove(&job_id).expect("running share implies a live gang");
-                        incarnations.insert(job_id, inc + 1);
-                        runs.clear();
-                        runs.push(run);
-                        for &m in &members {
-                            if m != node {
-                                runs.push(
-                                    self.nodes[m].abort(now).expect("gang members run together"),
-                                );
+                        if let Some(job_id) = self.nodes[node].running_job() {
+                            // The crash caught a gang mid-run: abort every
+                            // member, each charged its pro-rata energy.
+                            let g = running
+                                .iter()
+                                .position(|g| g.job.id == job_id)
+                                .expect("a busy node belongs to a running gang");
+                            let gang = running.remove(g);
+                            let share_j = gang.aborted_share_j(now);
+                            for &m in &gang.members {
+                                self.nodes[m].release(now, share_j);
                             }
-                        }
-                        match self.spec.faults.on_failure {
-                            FaultPolicy::Reschedule => {
-                                enqueue(&mut queue, runs[0].job.clone());
-                            }
-                            FaultPolicy::Kill => {
-                                killed_jobs += 1;
-                                let energy_j: f64 = runs
-                                    .iter()
-                                    .map(|r| {
-                                        let span = r.finish_s - r.start_s;
-                                        let frac = if span > 0.0 {
-                                            ((now - r.start_s) / span).clamp(0.0, 1.0)
-                                        } else {
-                                            1.0
-                                        };
-                                        r.plan.energy_j * frac
-                                    })
-                                    .sum();
-                                let peak_power_w: f64 =
-                                    runs.iter().map(|r| r.plan.peak_power_w).sum();
-                                let run = runs.swap_remove(0);
-                                if let Some(sink) = &self.telemetry {
-                                    if let Some(deadline_s) = run.job.deadline_s {
-                                        // A killed job can never meet its
-                                        // deadline.
-                                        sink.record_owned(TraceEvent::SloViolated {
-                                            time_s: now,
-                                            job: run.job.id,
-                                            deadline_s,
-                                            finish_s: now,
-                                        });
+                            match self.spec.faults.on_failure {
+                                FaultPolicy::Reschedule => enqueue(&mut queue, gang.job),
+                                FaultPolicy::Kill => {
+                                    killed_jobs += 1;
+                                    if let Some(sink) = &self.telemetry {
+                                        if let Some(deadline_s) = gang.job.deadline_s {
+                                            // A killed job can never meet
+                                            // its deadline.
+                                            sink.record_owned(TraceEvent::SloViolated {
+                                                time_s: now,
+                                                job: gang.job.id,
+                                                deadline_s,
+                                                finish_s: now,
+                                            });
+                                        }
                                     }
+                                    makespan_s = makespan_s.max(now);
+                                    let energy_j = gang.sum_over_members(share_j);
+                                    outcomes.push(gang.into_outcome(now, energy_j, false));
                                 }
-                                makespan_s = makespan_s.max(now);
-                                outcomes.push(JobOutcome {
-                                    job: run.job,
-                                    start_s: run.start_s,
-                                    finish_s: now,
-                                    energy_j,
-                                    peak_power_w,
-                                    decisions: run.plan.decisions,
-                                    nodes: members,
-                                    completed: false,
-                                });
                             }
                         }
+                        self.nodes[node].fail(now);
                     }
                 }
             }
@@ -509,37 +514,14 @@ impl<'a> Cluster<'a> {
             idle_nodes.clear();
             idle_nodes.extend(self.nodes.iter().filter(|n| n.is_available()).map(|n| n.id));
             if !queue.is_empty() && !idle_nodes.is_empty() {
-                // Summarise running gangs (one entry per job, not per node):
-                // each node folds into the first summary matching its
-                // (finish, peak) key, starting a new one when that summary is
-                // already at its gang's width. `running_index` finds the
-                // first match in O(1); keying on bits equals keying on `==`
-                // here because neither field can be NaN or -0.0 (finish is
-                // now + a positive runtime, peak is a positive draw). Gang
-                // members are adjacent in node order often enough that the
-                // previous node's key short-circuits most map probes.
-                running.clear();
-                running_index.clear();
-                let mut prev: Option<((u64, u64), usize)> = None;
-                for n in &self.nodes {
-                    if let Some(r) = n.running() {
-                        let key = (r.finish_s.to_bits(), r.plan.peak_power_w.to_bits());
-                        let first = match prev {
-                            Some((k, idx)) if k == key => idx,
-                            _ => *running_index.entry(key).or_insert(running.len()),
-                        };
-                        match running.get_mut(first) {
-                            Some(s) if s.nodes < r.job.nodes => s.nodes += 1,
-                            _ => running.push(RunningSummary {
-                                finish_s: r.finish_s,
-                                nodes: 1,
-                                node_peak_w: r.plan.peak_power_w,
-                            }),
-                        }
-                        prev = Some((key, first));
-                    }
-                }
-                running.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
+                // Policies see one summary per running gang, ascending by
+                // finish time.
+                summaries.clear();
+                summaries.extend(running.iter().map(|g| RunningSummary {
+                    finish_s: g.finish_s,
+                    nodes: g.members.len(),
+                    node_peak_w: g.plan.peak_power_w,
+                }));
                 // The observe step of the control plane at cluster level:
                 // the summed per-node draw. Coordinators size the headroom
                 // (budget minus that draw) they redistribute across the
@@ -551,32 +533,21 @@ impl<'a> Cluster<'a> {
                     idle_nodes: &idle_nodes,
                     budget_w: self.spec.power_budget_w,
                     draw_w: self.draw_w(),
-                    running: &running,
+                    running: &summaries,
                     fleet,
                     node_gen: &self.node_gen,
                     pool_gen,
                 };
-                let assignments = policy.assign(&ctx);
                 // Apply in descending queue index so removals stay valid.
-                let mut ordered = assignments;
+                let mut ordered = policy.assign(&ctx);
                 ordered.sort_by_key(|a| std::cmp::Reverse(a.queue_idx));
+                let mut prev_idx = None;
                 for a in ordered {
-                    // The cluster re-checks the cap: an assignment may only
-                    // raise the draw by Σ (plan peak − the member's idle
-                    // draw), and every gang member must actually be up and
-                    // idle.
-                    let k = a.nodes.len();
-                    let extra: f64 = a
-                        .nodes
-                        .iter()
-                        .map(|&n| a.plan.peak_power_w - self.nodes[n].idle_power_w())
-                        .sum();
-                    let members_free = a.nodes.iter().all(|&n| self.nodes[n].is_available());
-                    let width_ok = k == queue[a.queue_idx].nodes;
-                    if !members_free
-                        || !width_ok
-                        || self.draw_w() + extra > self.spec.power_budget_w + 1e-6
-                    {
+                    // The cluster re-checks every assignment: it must name
+                    // a queued job once (equal indices sort together), be
+                    // well formed, and fit the budget.
+                    let repeated = prev_idx.replace(a.queue_idx) == Some(a.queue_idx);
+                    if repeated || !self.well_formed(&a, &queue) || self.overdraws(&a) {
                         cap_violations += 1;
                         continue;
                     }
@@ -585,7 +556,7 @@ impl<'a> Cluster<'a> {
                         sink.record(&TraceEvent::JobStart {
                             time_s: now,
                             job: job.id,
-                            width: k,
+                            width: a.nodes.len(),
                             node_peak_w: a.plan.peak_power_w,
                             exec_time_s: a.plan.exec_time_s,
                         });
@@ -595,17 +566,14 @@ impl<'a> Cluster<'a> {
                     let slow =
                         a.nodes.iter().map(|&n| self.nodes[n].slowdown()).fold(1.0, f64::max);
                     let finish_s = now + a.plan.exec_time_s * slow;
-                    let job_id = job.id;
                     for &node in &a.nodes {
-                        self.nodes[node].assign(job.clone(), a.plan.clone(), now, finish_s);
+                        self.nodes[node].assign(job.id, a.plan.peak_power_w, now);
                     }
-                    let inc = *incarnations.entry(job_id).or_insert(0);
-                    gangs.insert(job_id, (inc, a.nodes));
-                    heap.push(Event {
-                        time_s: finish_s,
-                        seq,
-                        kind: EventKind::Completion { job_id, incarnation: inc },
-                    });
+                    let gang =
+                        Gang { job, plan: a.plan, members: a.nodes, start_s: now, finish_s, seq };
+                    let key = gang.key();
+                    running.insert(running.partition_point(|g| g.key() < key), gang);
+                    heap.push(Event { time_s: finish_s, seq, kind: EventKind::Completion });
                     seq += 1;
                 }
             }
@@ -619,7 +587,7 @@ impl<'a> Cluster<'a> {
 
             // Deadlock check: nothing running, nothing scheduled, no future
             // events, but jobs still queued — the spec starves the queue.
-            if heap.is_empty() && !queue.is_empty() && self.nodes.iter().all(Node::is_idle) {
+            if heap.is_empty() && !queue.is_empty() && running.is_empty() {
                 let widest = queue.iter().map(|j| j.nodes).max().unwrap_or(0);
                 return Err(ClusterError::InvalidSpec {
                     reason: format!(

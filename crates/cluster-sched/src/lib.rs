@@ -12,8 +12,8 @@
 //!
 //! The pieces:
 //!
-//! * [`node::Node`] — one cluster node: a [`xeon_sim::Machine`], the running
-//!   job share, health state and energy accounting.
+//! * [`node::Node`] — one cluster node: its idle floor, health, slowdown,
+//!   the running job's id with the node's peak draw, and its energy ledger.
 //! * [`job`] — [`job::Job`], [`job::JobOutcome`] and seeded workload
 //!   generation from [`npb_workloads::suite`] (Poisson arrivals, priorities,
 //!   deadlines, per-job problem scaling).
@@ -30,9 +30,9 @@
 //!   Every built-in prices queued jobs from the models' per-benchmark cap
 //!   tables and plans only the jobs it starts. New policies are one file
 //!   each.
-//! * [`cluster`] — the discrete-event loop, cap enforcement, and
-//!   [`cluster::ClusterReport`]; [`tables`] renders per-job and
-//!   cluster-level reports as [`actor_core::report::Table`]s.
+//! * [`cluster`] — the discrete-event loop (one record per running gang),
+//!   cap enforcement, and [`cluster::ClusterReport`]; [`tables`] renders
+//!   per-job and cluster-level reports as [`actor_core::report::Table`]s.
 //! * [`sweep`] — the parallel sweep engine: a [`sweep::SweepSpec`] grid
 //!   (nodes × budgets × policies × seeds, plus explicit cells) expanded
 //!   into independent cells and executed concurrently on scoped worker

@@ -11,9 +11,9 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_for_mix, fault_timeline, mix_by_name, policy_by_name_fleet, run_sweep_fleet,
-    simulate_fleet, ClusterError, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepSpec,
-    WorkloadModel, WorkloadSpec, GEN_PHASE_ID_STRIDE, POLICY_NAMES,
+    budget_for_mix, fault_scenario_by_name, fault_timeline, mix_by_name, policy_by_name_fleet,
+    run_sweep_fleet, simulate_fleet, ClusterError, ClusterSpec, FaultPolicy, FaultSpec, FleetModel,
+    Node, SweepSpec, WorkloadModel, WorkloadSpec, GEN_PHASE_ID_STRIDE, POLICY_NAMES,
 };
 use actor_suite::sim::{Configuration, Machine};
 use actor_suite::workloads::BenchmarkId;
@@ -84,8 +84,8 @@ proptest! {
         outage in 1.0f64..100.0,
         after in 1.0f64..20.0,
     ) {
-        let mut node = Node::new(0, Machine::xeon_qx6600());
-        let idle_w = node.idle_power_w();
+        let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
+        let mut node = Node::new(0, idle_w);
         node.fail(fail_t);
         prop_assert_eq!(node.power_draw_w(), 0.0);
         let at_fail = node.energy_until(fail_t);
@@ -238,6 +238,58 @@ fn single_generation_schedules_are_pinned() {
                 let json = serde_json::to_string(&report).expect("reports serialize");
                 let want = pins.next().expect("one pin per cell");
                 assert_eq!(fnv1a(json.as_bytes()), want, "{name}, {mix}, {fraction}, seed {seed}");
+            }
+        }
+    }
+    assert!(pins.next().is_none(), "every pin is checked");
+}
+
+/// Every policy's report under injected crashes on the file's mixed 8-node
+/// spec reproduces the digest recorded before the event loop kept one record
+/// per running gang: the aggressive schedule with caught gangs killed
+/// (every member charged its pro-rata energy) or rescheduled, and the
+/// `storm` preset (kills plus stragglers).
+#[test]
+fn fault_schedules_are_pinned() {
+    // One row per (fault spec, seed) in loop order, one digest per
+    // `POLICY_NAMES` entry. `-` marks the one cell left out: rescheduled,
+    // seed 10, `power-aware-coordinated`, where a recovered node lifts the
+    // draw above the budget and the coordinator's headroom `debug_assert`
+    // panics.
+    const PINS: &str = "
+        d9f80388b3f86983 067c5acd47fc4f18 4d38d18840946d32 978e3cf77baa51dc 3647eb2575f4ef4a
+        c9b005cc467ddea4 b76390174dd21158 6efdf3fe591673e6 ca3f7a2a51721738 29263cba7442005f
+        ea7e007ceeaa5ef1 d486d8a531c55df0 5ae57ac4af96bef8 12042b3e048c1b42 81149ac66dd0beac
+        a9fb722fc7d6f748 88bb57cae649ad98 734cfd16c94289d8 e6de61c8d7b57218 fb9e7a8dca3a2e3a
+        26855c909f570fed 2f73abea29739ebc ac3355ab6f5e3b2d 6f32ea5e1b6496b7 a30b827d208e7436
+        33fd2f9e079a80e9 b897bb0ffe409159 123e543b1b23f789 1dc20389cd090ca0 51b8742784b8cf79
+        ba9dd6a2c77fa91a 9312d76c3301db7e 81dbf4a7d13ba6f5 2e8d26f4ddfa3b6c 096232d082fe9c57
+        8bb865184bef3a87 2d4a4785b09e242e 003ad254c5e234cf 5083e382ff5b0d1f -
+        42cccf660f85f772 28f1be9f0673f4cc 5320e656ae858653 f523a25886075e1b ee050b32001c28ba
+        4698a3731e688c5c ee62cf823c5bb56a 41d552a80439dd53 ec7550348e8e05a1 465bb51307d8603e
+        8c11a8233ea31447 0546b1170bef114b faa33c74dbd1f47f c8f6a12471ec6608 b6b0abf59f161d54
+        7b5b0430aa8d62bd 050cdcf1610c06f4 bed831ed38c43c8b 50901959c1a74b08 781798a9f0dd736f";
+    let faults = [
+        aggressive_faults(FaultPolicy::Kill),
+        aggressive_faults(FaultPolicy::Reschedule),
+        fault_scenario_by_name("storm").expect("built-in preset"),
+    ];
+    let mut pins = PINS.split_whitespace();
+    for faults in faults {
+        for seed in [7, 8, 9, 10] {
+            let spec = spec(faults.clone(), seed);
+            for name in POLICY_NAMES {
+                let pin = pins.next().expect("one pin per cell");
+                if pin == "-" {
+                    continue;
+                }
+                let mut policy = policy_by_name_fleet(name, fleet()).unwrap();
+                let report = simulate_fleet(&spec, fleet(), policy.as_mut(), None).unwrap();
+                let json = serde_json::to_string(&report).expect("reports serialize");
+                let want = u64::from_str_radix(pin, 16).unwrap();
+                let cell =
+                    format!("{name}, {} {:?}, seed {seed}", faults.scenario, faults.on_failure);
+                assert_eq!(fnv1a(json.as_bytes()), want, "{cell}");
             }
         }
     }
