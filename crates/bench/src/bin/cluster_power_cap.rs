@@ -28,17 +28,12 @@
 //! for JSONL telemetry: one record per controller decision, cluster event,
 //! completed sweep cell and progress note.
 
-use std::sync::Arc;
-
-use actor_bench::{BenchArgs, FileReporter, Harness};
+use actor_bench::{FileReporter, Harness};
 use actor_core::report::{fmt3, StreamingReporter};
-use cluster_daemon::{run_distributed, ProcessSweepOptions};
-use cluster_rpc::SweepContext;
 use cluster_sched::{
-    budget_from_fraction, cluster_summary_headers, cluster_summary_row, job_table, run_sweep_fleet,
-    ClusterReport, SweepCellOutcome, SweepSpec,
+    budget_from_fraction, cluster_summary_headers, cluster_summary_row, job_table, ClusterReport,
+    SweepCellOutcome, SweepSpec,
 };
-use npb_workloads::BenchmarkId;
 use serde::{Deserialize, Serialize};
 
 /// One cell of the sweep, JSON-serializable with its rendered tables.
@@ -80,8 +75,7 @@ fn main() {
         // arbitrary grids belong to `cluster_sweep`.
         eprintln!("warning: --grid is not supported by cluster_power_cap (use cluster_sweep); running the default grid");
     }
-    let exp = harness.experiment();
-    let idle_w = exp.machine().params().power.system_idle_w;
+    let idle_w = harness.experiment().machine().params().power.system_idle_w;
 
     let spec = SweepSpec::power_cap_default(dvfs);
     let mut streaming = StreamingReporter::new(
@@ -94,7 +88,7 @@ fn main() {
     if let Some(sink) = harness.telemetry_sink() {
         streaming = streaming.with_telemetry(sink);
     }
-    let mut on_cell = |outcome: &SweepCellOutcome, _done: usize, _total: usize| {
+    let on_cell = |outcome: &SweepCellOutcome, _done: usize, _total: usize| {
         let (p, r) = (&outcome.cell.point, &outcome.report);
         eprintln!(
             "  {} nodes | {:<6} ({:.0} W) | {:<11} -> makespan {:.0} s, ED2 {:.3e} J.s2",
@@ -107,38 +101,7 @@ fn main() {
         );
         streaming.row(outcome.cell.index, cluster_summary_row(r));
     };
-    let run = if let Some(processes) = harness.args.processes {
-        let worker_bin = BenchArgs::sibling_bin("cluster_worker").unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let context = SweepContext {
-            config: harness.args.config(),
-            benchmarks: BenchmarkId::ALL.to_vec(),
-            workload: "default".into(),
-            machines: spec.mix_names().unwrap_or_else(|e| panic!("{e}")),
-            max_node_w: spec.max_node_w,
-            heartbeat_ms: 250,
-            run_id: Harness::run_id(),
-        };
-        let opts = ProcessSweepOptions::new(processes, worker_bin, context);
-        eprintln!(
-            "running {} sweep cells on {processes} worker process(es) (each retrains the \
-             model)...",
-            spec.len()
-        );
-        run_distributed(&spec, &opts, harness.telemetry_sink(), &mut on_cell)
-            .unwrap_or_else(|e| panic!("distributed sweep failed: {e}"))
-            .run
-    } else {
-        let jobs = harness.args.jobs_or_auto();
-        eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-        let mixes = spec.mixes().unwrap_or_else(|e| panic!("{e}"));
-        let fleet = Arc::new(exp.fleet_model(&mixes).expect("fleet model construction failed"));
-        eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), &mut on_cell)
-            .unwrap_or_else(|e| panic!("sweep failed: {e}"))
-    };
+    let run = harness.run_sweep(&spec, "default", on_cell).run;
     let mut reporter = streaming.finish();
     reporter.note(&format!(
         "sweep: {} cells in {:.1} s on {} worker(s) ({:.2} cells/s)",

@@ -30,18 +30,11 @@
 //! * `--trace PATH` — JSONL telemetry: one record per controller decision,
 //!   cluster event, completed sweep cell and progress note.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use actor_bench::sweep_out::{
     cells_output, default_spec, score_policies, sweep_output, sweep_table_headers, sweep_table_row,
 };
-use actor_bench::{BenchArgs, FileReporter, Harness};
+use actor_bench::{FileReporter, Harness, SweepResult};
 use actor_core::report::{StreamingReporter, Table};
-use cluster_daemon::{run_distributed, ProcessSweepOptions};
-use cluster_rpc::SweepContext;
-use cluster_sched::{run_sweep_fleet, SweepRun};
-use npb_workloads::BenchmarkId;
 
 fn main() {
     let harness = Harness::from_env();
@@ -64,51 +57,10 @@ fn main() {
         streaming = streaming.with_telemetry(sink);
     }
 
-    let mut model_build_s = None;
-    let run: SweepRun = if let Some(processes) = args.processes {
-        // Distributed mode: the daemon owns the grid, N spawned workers
-        // each rebuild the model from the wire-carried context.
-        let worker_bin = BenchArgs::sibling_bin("cluster_worker").unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+    let SweepResult { run, model_build_s, .. } =
+        harness.run_sweep(&spec, "light", |outcome, _, _| {
+            streaming.row(outcome.cell.index, sweep_table_row(outcome));
         });
-        let context = SweepContext {
-            config: args.config(),
-            benchmarks: BenchmarkId::ALL.to_vec(),
-            workload: "light".into(),
-            machines: spec.mix_names().unwrap_or_else(|e| panic!("{e}")),
-            max_node_w: spec.max_node_w,
-            heartbeat_ms: 250,
-            run_id: Harness::run_id(),
-        };
-        let opts = ProcessSweepOptions::new(processes, worker_bin, context);
-        eprintln!(
-            "running {} sweep cells on {processes} worker process(es) (each retrains the \
-             model)...",
-            spec.len()
-        );
-        let dist = run_distributed(&spec, &opts, harness.telemetry_sink(), |outcome, _, _| {
-            streaming.row(outcome.cell.index, sweep_table_row(outcome));
-        })
-        .unwrap_or_else(|e| panic!("distributed sweep failed: {e}"));
-        if dist.reassignments > 0 {
-            eprintln!("note: {} cell(s) were reassigned from dead workers", dist.reassignments);
-        }
-        dist.run
-    } else {
-        let jobs = args.jobs_or_auto();
-        let exp = harness.experiment();
-        eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-        let mixes = spec.mixes().unwrap_or_else(|e| panic!("{e}"));
-        let started = Instant::now();
-        let fleet = Arc::new(exp.fleet_model(&mixes).expect("fleet model construction failed"));
-        model_build_s = Some(started.elapsed().as_secs_f64());
-        eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), |outcome, _, _| {
-            streaming.row(outcome.cell.index, sweep_table_row(outcome));
-        })
-        .unwrap_or_else(|e| panic!("sweep failed: {e}"))
-    };
 
     let mut reporter = streaming.finish();
     if let Some(secs) = model_build_s {

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use actor_bench::BenchArgs;
 use actor_core::telemetry::{JsonlSink, SharedSink};
-use cluster_daemon::run_worker_traced;
+use cluster_daemon::run_worker_with;
 
 /// `--name NAME` from the raw argument list (`BenchArgs` skips flags it
 /// does not own).
@@ -64,7 +64,7 @@ fn main() {
         eprintln!("error: cannot connect to daemon at {socket}: {e}");
         std::process::exit(1);
     });
-    if let Err(e) = run_worker_traced(Box::new(stream), &name, local) {
+    if let Err(e) = run_worker_with(Box::new(stream), &name, local, None) {
         eprintln!("error: worker {name} failed: {e}");
         std::process::exit(1);
     }

@@ -24,7 +24,9 @@
 //!    recording through a deferred [`RingSink`] so serialization and any
 //!    `--trace` file writes drain outside the timed window. Every traced
 //!    record (job arrival/start/completion, controller decision) counts
-//!    as an event.
+//!    as an event. `sim_events` counts the same records minus the
+//!    `decision`s, so it moves with the simulation alone, not with how
+//!    many decisions a policy records; it is reported, not gated.
 //!
 //! Writes `results/decision_bench.json`; `bench_check` collects
 //! `decision_bench_decisions_per_sec`, `decision_bench_traced_decisions_per_sec`,
@@ -103,6 +105,9 @@ struct NodeRun {
     power_budget_w: f64,
     makespan_s: f64,
     events: u64,
+    /// `events` without the `decision` records.
+    sim_events: u64,
+    sim_events_per_sec: f64,
     wall_clock_s: f64,
 }
 
@@ -139,6 +144,9 @@ struct DecisionBenchOutput {
     events: u64,
     events_wall_clock_s: f64,
     events_per_sec: f64,
+    /// Every node run's `sim_events`, and their rate over the same wall.
+    sim_events: u64,
+    sim_events_per_sec: f64,
     /// Nodes of the largest simulated cluster (64 under `--fast`, 256
     /// otherwise).
     largest_nodes: usize,
@@ -279,6 +287,7 @@ fn main() {
     let node_counts: &[usize] = if fast { &[64] } else { &[64, 128, 256] };
     let mut node_runs = Vec::new();
     let mut events_total = 0u64;
+    let mut sim_events_total = 0u64;
     let mut events_wall = 0.0f64;
     let mut cluster_ring_dropped = 0u64;
     for &nodes in node_counts {
@@ -314,10 +323,12 @@ fn main() {
             Arc::new(RingSink::deferred(sink.clone(), spec.workload.num_jobs * 32 + 4096));
         let mut wall = f64::INFINITY;
         let mut events = 0u64;
+        let mut sim_events = 0u64;
         let mut makespan_s = 0.0f64;
         for _ in 0..CLUSTER_REPEATS {
             let mut policy = policy_by_name_fleet("power-aware", &fleet).expect("built-in policy");
             let before = counter_total(&registry);
+            let decisions_before = registry.counter("decision");
             let started = Instant::now();
             let report = simulate_fleet(
                 &spec,
@@ -331,10 +342,12 @@ fn main() {
             // so the registry has everything before the count is read.
             cluster_ring.flush();
             events = counter_total(&registry) - before;
+            sim_events = events - (registry.counter("decision") - decisions_before);
             makespan_s = report.makespan_s;
         }
         cluster_ring_dropped += cluster_ring.dropped_events();
         events_total += events;
+        sim_events_total += sim_events;
         events_wall += wall;
         node_runs.push(NodeRun {
             nodes,
@@ -342,10 +355,13 @@ fn main() {
             power_budget_w: spec.power_budget_w,
             makespan_s,
             events,
+            sim_events,
+            sim_events_per_sec: sim_events as f64 / wall.max(1e-9),
             wall_clock_s: wall,
         });
     }
     let events_per_sec = events_total as f64 / events_wall.max(1e-9);
+    let sim_events_per_sec = sim_events_total as f64 / events_wall.max(1e-9);
     let largest = node_runs.last().expect("at least one node count");
     let largest_nodes = largest.nodes;
     let events_per_sec_largest = largest.events as f64 / largest.wall_clock_s.max(1e-9);
@@ -365,6 +381,8 @@ fn main() {
         events: events_total,
         events_wall_clock_s: events_wall,
         events_per_sec,
+        sim_events: sim_events_total,
+        sim_events_per_sec,
         largest_nodes,
         events_per_sec_largest,
         wall_clock_s: decide_wall_total + events_wall,
@@ -399,6 +417,10 @@ fn main() {
         fmt3(events_per_sec),
         node_counts,
         fmt3(events_per_sec_largest)
+    ));
+    reporter.note(&format!(
+        "cluster without decision records: {sim_events_total} simulation events ({} events/s)",
+        fmt3(sim_events_per_sec)
     ));
     if let Some(snap) = &output.decision_latency_ns {
         reporter.note(&format!(

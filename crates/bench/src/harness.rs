@@ -14,12 +14,26 @@
 //! // ... build tables, then exp.emit(name, heading, &table)
 //! ```
 
+use std::fmt::Display;
 use std::fs;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use actor_core::report::{Reporter, StdoutReporter, Table};
+use actor_core::telemetry::{MetricsRegistry, SharedSink};
 use actor_core::ActorConfig;
 use actor_suite::{Experiment, ExperimentBuilder};
+use cluster_daemon::{
+    accept_unix, run_distributed, serve, DaemonConfig, DaemonError, DistRun, ProcessSweepOptions,
+};
+use cluster_rpc::SweepContext;
+use cluster_sched::{
+    run_sweep_fleet, workload_shape_by_name, SweepCellOutcome, SweepRun, SweepSpec,
+};
+use npb_workloads::BenchmarkId;
 
 /// Command-line arguments shared by every figure binary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -344,6 +358,119 @@ impl Harness {
     pub fn experiment(&self) -> Experiment {
         self.builder().run().expect("the harness defaults form a valid experiment")
     }
+}
+
+/// A sweep run by [`Harness::run_sweep`].
+#[derive(Debug, Clone)]
+pub struct SweepResult {
+    /// Outcomes in cell order, the worker count and the sweep wall clock.
+    pub run: SweepRun,
+    /// Wall clock of the in-process model build (s): the leave-one-out ANN
+    /// training that precedes the sweep. `None` when worker processes
+    /// built their own models.
+    pub model_build_s: Option<f64>,
+    /// Cells requeued from workers that left mid-cell (0 on threads).
+    pub reassignments: usize,
+}
+
+impl Harness {
+    /// Runs a sweep bin's grid with its cells' workload shape named
+    /// `shape` (one of `cluster_sched::WORKLOAD_SHAPE_NAMES`). That one
+    /// name sets both the spec's `workload` fn and the name the cluster
+    /// daemon ships to workers, so worker processes run the same cells as
+    /// threads would.
+    ///
+    /// Where the cells run follows the flags: `--serve PATH` serves them to
+    /// external `cluster_worker`s on that Unix socket (which also answers
+    /// `cluster_daemon --metrics PATH`), `--processes N` spawns N local
+    /// workers, and otherwise they run on `--jobs N` threads against a
+    /// model built here. Outcomes stream through `on_cell` in completion
+    /// order. A failed sweep prints its error and exits with status 1.
+    pub fn run_sweep(
+        &self,
+        spec: &SweepSpec,
+        shape: &str,
+        on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
+    ) -> SweepResult {
+        let workload = workload_shape_by_name(shape)
+            .unwrap_or_else(|| panic!("unknown workload shape {shape:?}"));
+        let spec = SweepSpec { workload, ..spec.clone() };
+        let telemetry = self.telemetry_sink();
+        let context = SweepContext {
+            config: self.args.config(),
+            benchmarks: BenchmarkId::ALL.to_vec(),
+            workload: shape.into(),
+            machines: spec.mix_names().unwrap_or_else(|e| sweep_failed(e)),
+            max_node_w: spec.max_node_w,
+            heartbeat_ms: 250,
+            // Workers stamp their spans with the run id of this process's
+            // own trace: one causal timeline per run.
+            run_id: Self::run_id(),
+        };
+        let dist = if let Some(socket) = &self.args.serve {
+            serve_socket(socket, &spec, context, telemetry, on_cell)
+        } else if let Some(processes) = self.args.processes {
+            let worker_bin = BenchArgs::sibling_bin("cluster_worker").unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
+            eprintln!(
+                "running {} sweep cells on {processes} worker process(es) (each retrains the \
+                 model)...",
+                spec.len()
+            );
+            let opts = ProcessSweepOptions::new(processes, worker_bin, context);
+            run_distributed(&spec, &opts, telemetry, on_cell)
+        } else {
+            let jobs = self.args.jobs_or_auto();
+            eprintln!(
+                "building the workload model (leave-one-out ANN training over the NPB suite)..."
+            );
+            let mixes = spec.mixes().unwrap_or_else(|e| sweep_failed(e));
+            let started = Instant::now();
+            let fleet = self.experiment().fleet_model(&mixes).unwrap_or_else(|e| sweep_failed(e));
+            let model_build_s = Some(started.elapsed().as_secs_f64());
+            eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
+            let run = run_sweep_fleet(&spec, &Arc::new(fleet), jobs, telemetry, on_cell)
+                .unwrap_or_else(|e| sweep_failed(e));
+            return SweepResult { run, model_build_s, reassignments: 0 };
+        };
+        let dist = dist.unwrap_or_else(|e| sweep_failed(e));
+        if dist.reassignments > 0 {
+            eprintln!("note: {} cell(s) were reassigned from dead workers", dist.reassignments);
+        }
+        SweepResult { run: dist.run, model_build_s: None, reassignments: dist.reassignments }
+    }
+}
+
+/// Serves `spec` to external workers on the Unix socket at `path`,
+/// replacing a stale socket file, with a live metrics registry.
+fn serve_socket(
+    path: &str,
+    spec: &SweepSpec,
+    context: SweepContext,
+    telemetry: Option<SharedSink>,
+    on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
+) -> Result<DistRun, DaemonError> {
+    let _ = fs::remove_file(path);
+    let listener = UnixListener::bind(path).map_err(DaemonError::Io)?;
+    listener.set_nonblocking(true).map_err(DaemonError::Io)?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let (conn_tx, conn_rx) = crossbeam::channel::unbounded();
+    let acceptor = accept_unix(listener, Arc::clone(&stop), conn_tx);
+    eprintln!("serving {} sweep cells on {path}; waiting for workers...", spec.len());
+    let mut config = DaemonConfig::new(context);
+    config.metrics = Some(Arc::new(MetricsRegistry::new()));
+    let result = serve(spec, &config, conn_rx, telemetry, on_cell);
+    stop.store(true, Ordering::Relaxed);
+    let _ = acceptor.join();
+    let _ = fs::remove_file(path);
+    result
+}
+
+fn sweep_failed(e: impl Display) -> ! {
+    eprintln!("error: sweep failed: {e}");
+    std::process::exit(1);
 }
 
 #[cfg(test)]

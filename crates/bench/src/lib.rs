@@ -36,4 +36,4 @@ pub mod sweep_out;
 pub mod trace_ops;
 
 pub use alloc_count::allocation_count;
-pub use harness::{BenchArgs, FileReporter, Harness};
+pub use harness::{BenchArgs, FileReporter, Harness, SweepResult};

@@ -1,14 +1,15 @@
 //! The daemon control loop: grid ownership, dispatch, heartbeat liveness,
-//! and reassignment of cells from dead or stalled workers.
+//! and reassignment of cells from dead, stalled or misbehaving workers.
 //!
 //! [`serve`] is transport-agnostic: it consumes connected [`Wire`]s from a
 //! channel, so the same loop runs over Unix-socket accepts in production
 //! and in-memory duplexes in tests. Each connection gets a handler thread
 //! that handshakes and forwards frames into one event channel; the control
-//! loop itself is single-threaded, which keeps the bookkeeping (pending
-//! queue, attempt counts, completion set) free of locks.
+//! loop itself is single-threaded and owns all bookkeeping in one private
+//! `Ledger` (a record per cell, a record per worker), free of locks.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Display;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,18 +20,23 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::error::DaemonError;
 
+/// Assignments a cell may consume before its worker deaths become a
+/// terminal [`DaemonError::Cell`].
+const MAX_ATTEMPTS: usize = 3;
+
+/// Silence longer than this declares a worker dead and requeues its cell:
+/// 10 heartbeat periods, at least 100 ms.
+fn liveness_grace(heartbeat_ms: u64) -> Duration {
+    Duration::from_millis(heartbeat_ms.saturating_mul(10).max(100))
+}
+
 /// How the daemon treats its workers.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// The context every worker receives at handshake (model config,
-    /// benchmark list, workload shape name, heartbeat period).
+    /// benchmark list, workload shape name, heartbeat period — which also
+    /// sets the liveness grace).
     pub context: SweepContext,
-    /// Silence longer than this declares a worker dead and requeues its
-    /// cell.
-    pub liveness_grace: Duration,
-    /// Assignments a cell may consume before its worker deaths become a
-    /// terminal [`DaemonError::Cell`].
-    pub max_attempts: usize,
     /// Give up with [`DaemonError::NoWorkers`] after this long with zero
     /// live workers and cells still unresolved. `None` waits forever.
     pub no_worker_timeout: Option<Duration>,
@@ -43,18 +49,9 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults derived from the context: a liveness grace of 10 heartbeat
-    /// periods (min 100 ms), 3 attempts per cell, wait forever for
-    /// workers.
+    /// Waits forever for workers and keeps no live metrics.
     pub fn new(context: SweepContext) -> Self {
-        let grace = Duration::from_millis(context.heartbeat_ms.saturating_mul(10).max(100));
-        Self {
-            context,
-            liveness_grace: grace,
-            max_attempts: 3,
-            no_worker_timeout: None,
-            metrics: None,
-        }
+        Self { context, no_worker_timeout: None, metrics: None }
     }
 }
 
@@ -68,7 +65,8 @@ pub struct DistRun {
     pub run: SweepRun,
     /// Distinct workers that completed the handshake.
     pub workers_seen: usize,
-    /// Cells requeued because their worker died or stalled.
+    /// Cells requeued because their worker died, stalled or broke the
+    /// protocol.
     pub reassignments: usize,
 }
 
@@ -77,13 +75,6 @@ enum Event {
     Joined { id: u64, name: String, conn: Arc<Connection> },
     Frame { id: u64, msg: Box<Message> },
     Left { id: u64, reason: String },
-}
-
-struct WorkerState {
-    name: String,
-    conn: Arc<Connection>,
-    busy: Option<SweepCell>,
-    last_seen: Instant,
 }
 
 /// Turns raw wires into handshaked connections feeding `events`: one
@@ -111,15 +102,9 @@ fn spawn_acceptor(
                     Ok(c) => Arc::new(c),
                     Err(_) => return,
                 };
-                let render;
-                let render_ref: Option<&dyn Fn() -> String> = match metrics {
-                    Some(reg) => {
-                        render = move || reg.render_text();
-                        Some(&render)
-                    }
-                    None => None,
-                };
-                let name = match server_accept(&conn, &context, traces, render_ref) {
+                let render = metrics.map(|reg| move || reg.render_text());
+                let render = render.as_ref().map(|f| f as &dyn Fn() -> String);
+                let name = match server_accept(&conn, &context, traces, render) {
                     Ok(Accepted::Worker(name)) => name,
                     Ok(Accepted::MetricsServed) | Err(_) => {
                         conn.shutdown();
@@ -148,66 +133,285 @@ fn spawn_acceptor(
     });
 }
 
-/// Requeues a died-with-its-worker cell at the *front* (retries happen
-/// promptly, keeping completion order close to expansion order), unless
-/// its attempts are exhausted — then it becomes a terminal failure.
-fn requeue_or_fail(
+/// One cell of the grid as the daemon sees it.
+struct CellRecord {
     cell: SweepCell,
-    reason: String,
-    attempts: &BTreeMap<usize, usize>,
-    max_attempts: usize,
-    pending: &mut VecDeque<SweepCell>,
-    failures: &mut Vec<(SweepCell, String, usize)>,
-) {
-    let tried = attempts.get(&cell.index).copied().unwrap_or(0);
-    if tried >= max_attempts {
-        failures.push((cell, reason, tried));
-    } else {
-        pending.push_front(cell);
-    }
+    /// Assignments that reached a worker.
+    attempts: usize,
+    /// `None` while unresolved; then the completed outcome, or the reason
+    /// the cell failed.
+    resolved: Option<Result<SweepCellOutcome, String>>,
 }
 
-/// The one exit path for a worker leaving the pool for any reason (error
-/// frame, protocol violation, closed connection, heartbeat stall): closes
-/// the transport, traces [`TraceEvent::WorkerDead`] and — when a cell dies
-/// with it — [`TraceEvent::CellReassigned`], keeps the registry counters
-/// current, and requeues the orphaned cell. Returns 1 when a cell was
-/// orphaned (the caller's reassignment count), 0 otherwise.
-#[allow(clippy::too_many_arguments)]
-fn drop_worker(
-    worker: WorkerState,
-    reason: String,
-    attempts: &BTreeMap<usize, usize>,
-    max_attempts: usize,
-    pending: &mut VecDeque<SweepCell>,
-    failures: &mut Vec<(SweepCell, String, usize)>,
-    telemetry: Option<&SharedSink>,
-    metrics: Option<&MetricsRegistry>,
-) -> usize {
-    worker.conn.shutdown();
-    if let Some(sink) = telemetry {
-        sink.record(&TraceEvent::WorkerDead {
+/// One live worker.
+struct Worker {
+    name: String,
+    conn: Arc<Connection>,
+    /// The index of the cell it was assigned and has not answered.
+    holds: Option<usize>,
+    last_seen: Instant,
+}
+
+/// All of [`serve`]'s bookkeeping: one record per cell, indexed by cell
+/// index, and one per live worker. A cell is pending, held by exactly one
+/// worker, or resolved; a worker's frames stop counting the moment it is
+/// dropped.
+struct Ledger {
+    cells: Vec<CellRecord>,
+    /// Unassigned, unresolved cells by index; retries go to the front.
+    pending: VecDeque<usize>,
+    workers: BTreeMap<u64, Worker>,
+    resolved: usize,
+    workers_seen: usize,
+    reassignments: usize,
+    telemetry: Option<SharedSink>,
+    metrics: Option<Arc<MetricsRegistry>>,
+}
+
+impl Ledger {
+    fn new(
+        cells: Vec<SweepCell>,
+        telemetry: Option<SharedSink>,
+        metrics: Option<Arc<MetricsRegistry>>,
+    ) -> Self {
+        if let Some(reg) = &metrics {
+            reg.set_gauge("cells_total", cells.len() as f64);
+        }
+        Self {
+            pending: (0..cells.len()).collect(),
+            cells: cells
+                .into_iter()
+                .map(|cell| CellRecord { cell, attempts: 0, resolved: None })
+                .collect(),
+            workers: BTreeMap::new(),
+            resolved: 0,
+            workers_seen: 0,
+            reassignments: 0,
+            telemetry,
+            metrics,
+        }
+    }
+
+    /// Records an event, built only when a sink reads it.
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = &self.telemetry {
+            sink.record(&event());
+        }
+    }
+
+    fn incr(&self, counter: &str) {
+        if let Some(reg) = &self.metrics {
+            reg.incr(counter);
+        }
+    }
+
+    fn set_workers_live(&self) {
+        if let Some(reg) = &self.metrics {
+            reg.set_gauge("workers_live", self.workers.len() as f64);
+        }
+    }
+
+    fn join(&mut self, id: u64, name: String, conn: Arc<Connection>) {
+        self.workers_seen += 1;
+        self.trace(|| TraceEvent::WorkerConnected { worker: name.clone() });
+        self.incr("workers_connected");
+        self.workers.insert(id, Worker { name, conn, holds: None, last_seen: Instant::now() });
+        self.set_workers_live();
+    }
+
+    /// Hands pending cells to idle workers in connection order. A failed send
+    /// means the worker is already gone: its cell goes back to the front
+    /// of the queue unattempted, and the worker is dropped.
+    fn dispatch(&mut self) {
+        let idle: Vec<u64> =
+            self.workers.iter().filter(|(_, w)| w.holds.is_none()).map(|(&id, _)| id).collect();
+        for id in idle {
+            let Some(index) = self.pending.pop_front() else { break };
+            let record = &mut self.cells[index];
+            let worker = self.workers.get_mut(&id).expect("idle workers are live");
+            if worker.conn.send(&Message::AssignCell(record.cell.clone())).is_ok() {
+                record.attempts += 1;
+                worker.holds = Some(index);
+                self.incr("cells_dispatched");
+            } else {
+                self.pending.push_front(index);
+                self.drop_worker(id, "could not be sent its assignment");
+            }
+        }
+    }
+
+    /// The one exit path for a worker leaving the pool, for any reason: a
+    /// failed assignment send, an `Error` frame, an unexpected frame (a
+    /// result for a cell it does not hold among them), a closed
+    /// connection, or a heartbeat stall. Closes the transport, traces
+    /// [`TraceEvent::WorkerDead`] and keeps the registry current. A cell
+    /// the worker held is traced as [`TraceEvent::CellReassigned`] and
+    /// requeued at the *front* (retries happen promptly, keeping
+    /// completion order close to expansion order) — unless its attempts
+    /// are exhausted, in which case it fails with the worker's reason.
+    /// Dropping a worker that is already gone does nothing.
+    fn drop_worker(&mut self, id: u64, why: impl Display) {
+        let Some(worker) = self.workers.remove(&id) else { return };
+        worker.conn.shutdown();
+        let reason = format!("worker {} {why}", worker.name);
+        self.trace(|| TraceEvent::WorkerDead {
             worker: worker.name.clone(),
             reason: reason.clone(),
         });
+        self.incr("workers_dead");
+        self.set_workers_live();
+        let Some(index) = worker.holds else { return };
+        self.reassignments += 1;
+        let attempt = self.cells[index].attempts;
+        self.trace(|| TraceEvent::CellReassigned { index, worker: worker.name, attempt });
+        self.incr("cells_reassigned");
+        if attempt >= MAX_ATTEMPTS {
+            self.resolve(index, Err(reason));
+        } else {
+            self.pending.push_front(index);
+        }
     }
-    if let Some(reg) = metrics {
-        reg.incr("workers_dead");
+
+    /// Drops every worker silent past `grace`. Its connection may still
+    /// look open (SIGKILL leaves the socket up until the kernel notices),
+    /// so the heartbeat is authoritative.
+    fn drop_stalled(&mut self, now: Instant, grace: Duration) {
+        let stalled: Vec<u64> = self
+            .workers
+            .iter()
+            .filter(|(_, w)| now.duration_since(w.last_seen) > grace)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in stalled {
+            self.drop_worker(
+                id,
+                format_args!("stalled (silent past {:.1} s)", grace.as_secs_f64()),
+            );
+        }
     }
-    let Some(cell) = worker.busy else { return 0 };
-    let attempt = attempts.get(&cell.index).copied().unwrap_or(0);
-    if let Some(sink) = telemetry {
-        sink.record(&TraceEvent::CellReassigned {
-            index: cell.index,
-            worker: worker.name.clone(),
-            attempt,
-        });
+
+    /// Handles one frame from worker `id`. Frames from workers already
+    /// dropped are ignored: their cell was requeued.
+    fn frame(
+        &mut self,
+        id: u64,
+        msg: Message,
+        on_cell: &mut dyn FnMut(&SweepCellOutcome, usize, usize),
+    ) {
+        let Some(worker) = self.workers.get_mut(&id) else { return };
+        worker.last_seen = Instant::now();
+        match msg {
+            Message::Heartbeat => {}
+            Message::TraceBatch(events) => {
+                // Worker frames arrive already span-stamped; record_spanned
+                // preserves those stamps (the daemon's own SpanSink only
+                // stamps span-less events).
+                if let Some(sink) = &self.telemetry {
+                    sink.record_spanned(&events);
+                }
+                if let Some(reg) = &self.metrics {
+                    reg.add("trace_events_ingested", events.len() as u64);
+                }
+            }
+            Message::CellResult { index, outcome } if worker.holds == Some(index) => {
+                worker.holds = None;
+                self.record(index, outcome, on_cell);
+            }
+            Message::CellResult { index, .. } => {
+                let holding = match worker.holds {
+                    Some(held) => format!("cell {held}"),
+                    None => "no cell".into(),
+                };
+                self.drop_worker(
+                    id,
+                    format_args!("sent a result for cell {index} while holding {holding}"),
+                );
+            }
+            Message::Error(e) => self.drop_worker(id, format_args!("failed: {e}")),
+            // Hello/HelloAck/AssignCell/Shutdown/metrics frames from a
+            // worker are protocol violations.
+            other => {
+                self.drop_worker(id, format_args!("sent an unexpected {} frame", other.kind()))
+            }
+        }
     }
-    if let Some(reg) = metrics {
-        reg.incr("cells_reassigned");
+
+    /// Records the result a worker returned for the cell it held. A
+    /// simulation failure is deterministic — retrying on another worker
+    /// would fail identically — so it is terminal, exactly
+    /// `run_sweep_fleet`'s semantics.
+    fn record(
+        &mut self,
+        index: usize,
+        outcome: CellOutcome,
+        on_cell: &mut dyn FnMut(&SweepCellOutcome, usize, usize),
+    ) {
+        let resolution = match outcome {
+            CellOutcome::Completed(report) => {
+                self.incr("cells_completed");
+                // Keep a copy made on this thread, not the decoded report:
+                // the handler thread built it in its own malloc arena
+                // between parse nodes it then freed, and reports kept
+                // across back-to-back sweeps pinned those fragments (peak
+                // RSS crept from ~16 to ~24 MB over 40 sweeps of 600
+                // cells).
+                let outcome = SweepCellOutcome {
+                    cell: self.cells[index].cell.clone(),
+                    report: report.clone(),
+                };
+                self.trace(|| sweep_cell_event(&outcome));
+                on_cell(&outcome, self.resolved + 1, self.cells.len());
+                Ok(outcome)
+            }
+            CellOutcome::Failed { reason, panicked } => {
+                self.incr("cells_failed");
+                Err(if panicked { format!("cell panicked: {reason}") } else { reason })
+            }
+        };
+        self.resolve(index, resolution);
     }
-    requeue_or_fail(cell, reason, attempts, max_attempts, pending, failures);
-    1
+
+    fn resolve(&mut self, index: usize, resolution: Result<SweepCellOutcome, String>) {
+        debug_assert!(self.cells[index].resolved.is_none(), "cell {index} resolved twice");
+        self.cells[index].resolved = Some(resolution);
+        self.resolved += 1;
+    }
+
+    /// Tells every surviving worker to exit cleanly, then closes the
+    /// transports so handler threads unblock.
+    fn shutdown_workers(&self) {
+        for worker in self.workers.values() {
+            let _ = worker.conn.send(&Message::Shutdown);
+            worker.conn.shutdown();
+        }
+    }
+
+    /// The finished sweep: the lowest-index failure, as in
+    /// `run_sweep_fleet`, or every outcome in cell order.
+    fn into_run(self, started: Instant) -> Result<DistRun, DaemonError> {
+        let mut outcomes = Vec::with_capacity(self.cells.len());
+        for record in self.cells {
+            match record.resolved.expect("a finished sweep resolved every cell") {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(reason) => {
+                    return Err(DaemonError::Cell {
+                        cell: Box::new(record.cell),
+                        reason,
+                        attempts: record.attempts,
+                    })
+                }
+            }
+        }
+        Ok(DistRun {
+            run: SweepRun {
+                outcomes,
+                jobs: self.workers_seen.max(1),
+                wall_clock_s: started.elapsed().as_secs_f64(),
+            },
+            workers_seen: self.workers_seen,
+            reassignments: self.reassignments,
+        })
+    }
 }
 
 /// Serves one sweep to however many workers connect, returning when every
@@ -223,8 +427,11 @@ fn drop_worker(
 /// Failure semantics mirror `run_sweep_fleet`: a cell whose simulation fails
 /// (worker reported [`CellOutcome::Failed`]) is deterministic — never
 /// retried, sweep keeps running, lowest-index failure reported at the end.
-/// A worker death or stall is indeterminate — the cell is requeued until
-/// [`DaemonConfig::max_attempts`].
+/// A worker that dies, stalls past the liveness grace (10 heartbeat
+/// periods of [`SweepContext::heartbeat_ms`], at least 100 ms) or breaks
+/// the protocol — an unexpected frame, or a result for a cell it does not
+/// hold — is dropped, and its cell requeued, for at most 3 attempts per
+/// cell.
 ///
 /// Workers forward their telemetry only when something here reads it:
 /// `telemetry` is set, or [`DaemonConfig::metrics`] counts ingested
@@ -238,307 +445,54 @@ pub fn serve(
     mut on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
 ) -> Result<DistRun, DaemonError> {
     spec.validate()?;
-    let all_cells = spec.expand();
-    let total = all_cells.len();
     let started = Instant::now();
 
     let (event_tx, event_rx) = crossbeam::channel::unbounded();
     let traces = telemetry.is_some() || config.metrics.is_some();
     spawn_acceptor(conns, config.context.clone(), traces, event_tx, config.metrics.clone());
-    let metrics = config.metrics.as_deref();
-    if let Some(reg) = metrics {
-        reg.set_gauge("cells_total", total as f64);
-    }
-
-    let tick = (config.liveness_grace / 4).max(Duration::from_millis(5));
-    let mut pending: VecDeque<SweepCell> = all_cells.iter().cloned().collect();
-    let mut attempts: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut workers: BTreeMap<u64, WorkerState> = BTreeMap::new();
-    let mut completed: BTreeSet<usize> = BTreeSet::new();
-    let mut outcomes: Vec<SweepCellOutcome> = Vec::with_capacity(total);
-    let mut failures: Vec<(SweepCell, String, usize)> = Vec::new();
-    let mut workers_seen = 0usize;
-    let mut reassignments = 0usize;
+    let mut ledger = Ledger::new(spec.expand(), telemetry, config.metrics.clone());
+    let total = ledger.cells.len();
+    let grace = liveness_grace(config.context.heartbeat_ms);
+    let tick = (grace / 4).max(Duration::from_millis(5));
     let mut workers_empty_since = started;
 
     let result = loop {
-        // Dispatch pending cells to idle workers. A failed send means the
-        // worker is already gone: undo the attempt (the assignment never
-        // arrived) and drop the worker.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, worker) in workers.iter_mut() {
-            if worker.busy.is_some() {
-                continue;
-            }
-            let Some(cell) = pending.pop_front() else { break };
-            *attempts.entry(cell.index).or_insert(0) += 1;
-            match worker.conn.send(&Message::AssignCell(cell.clone())) {
-                Ok(()) => {
-                    if let Some(reg) = metrics {
-                        reg.incr("cells_dispatched");
-                    }
-                    worker.busy = Some(cell);
-                }
-                Err(_) => {
-                    *attempts.get_mut(&cell.index).expect("attempt just counted") -= 1;
-                    pending.push_front(cell);
-                    dead.push(id);
-                }
-            }
-        }
-        for id in dead {
-            if let Some(worker) = workers.remove(&id) {
-                // The cell never left the queue (send failed), so this is
-                // a death without a reassignment.
-                drop_worker(
-                    worker,
-                    "assignment send failed".into(),
-                    &attempts,
-                    config.max_attempts,
-                    &mut pending,
-                    &mut failures,
-                    telemetry.as_ref(),
-                    metrics,
-                );
-                if let Some(reg) = metrics {
-                    reg.set_gauge("workers_live", workers.len() as f64);
-                }
-            }
-        }
-
-        if outcomes.len() + failures.len() == total {
+        ledger.dispatch();
+        if ledger.resolved == total {
             break Ok(());
         }
-
         match event_rx.recv_timeout(tick) {
-            Ok(Event::Joined { id, name, conn }) => {
-                workers_seen += 1;
-                if let Some(sink) = &telemetry {
-                    sink.record(&TraceEvent::WorkerConnected { worker: name.clone() });
-                }
-                if let Some(reg) = metrics {
-                    reg.incr("workers_connected");
-                }
-                workers
-                    .insert(id, WorkerState { name, conn, busy: None, last_seen: Instant::now() });
-                if let Some(reg) = metrics {
-                    reg.set_gauge("workers_live", workers.len() as f64);
-                }
-            }
-            Ok(Event::Frame { id, msg }) => {
-                // Frames from workers already declared dead are ignored:
-                // their cell was requeued, and the completion set below
-                // guards against double-counting anyway.
-                let Some(worker) = workers.get_mut(&id) else { continue };
-                worker.last_seen = Instant::now();
-                match *msg {
-                    Message::Heartbeat => {}
-                    Message::TraceBatch(events) => {
-                        // Worker frames arrive already span-stamped;
-                        // record_spanned preserves those stamps (the
-                        // daemon's own SpanSink only stamps span-less
-                        // events).
-                        if let Some(sink) = &telemetry {
-                            sink.record_spanned(&events);
-                        }
-                        if let Some(reg) = metrics {
-                            reg.add("trace_events_ingested", events.len() as u64);
-                        }
-                    }
-                    Message::CellResult { index, outcome } => {
-                        if worker.busy.as_ref().map(|c| c.index) == Some(index) {
-                            worker.busy = None;
-                        }
-                        if index >= total || completed.contains(&index) {
-                            continue;
-                        }
-                        match outcome {
-                            CellOutcome::Completed(report) => {
-                                completed.insert(index);
-                                if let Some(reg) = metrics {
-                                    reg.incr("cells_completed");
-                                }
-                                // Keep a copy made on this thread, not the
-                                // decoded report: the handler thread built
-                                // it in its own malloc arena between parse
-                                // nodes it then freed, and reports kept
-                                // across back-to-back sweeps pinned those
-                                // fragments (peak RSS crept from ~16 to
-                                // ~24 MB over 40 sweeps of 600 cells).
-                                let outcome = SweepCellOutcome {
-                                    cell: all_cells[index].clone(),
-                                    report: report.clone(),
-                                };
-                                if let Some(sink) = &telemetry {
-                                    sink.record(&sweep_cell_event(&outcome));
-                                }
-                                on_cell(&outcome, outcomes.len() + failures.len() + 1, total);
-                                outcomes.push(outcome);
-                            }
-                            CellOutcome::Failed { reason, panicked } => {
-                                // A simulation failure is deterministic:
-                                // retrying on another worker would fail
-                                // identically, so it is terminal — exactly
-                                // run_sweep_fleet's semantics.
-                                if failures.iter().any(|(c, ..)| c.index == index) {
-                                    continue;
-                                }
-                                let tried = attempts.get(&index).copied().unwrap_or(1);
-                                let reason = if panicked {
-                                    format!("cell panicked: {reason}")
-                                } else {
-                                    reason
-                                };
-                                if let Some(reg) = metrics {
-                                    reg.incr("cells_failed");
-                                }
-                                failures.push((all_cells[index].clone(), reason, tried));
-                            }
-                        }
-                    }
-                    Message::Error(e) => {
-                        if let Some(worker) = workers.remove(&id) {
-                            let reason = format!("worker {} failed: {e}", worker.name);
-                            reassignments += drop_worker(
-                                worker,
-                                reason,
-                                &attempts,
-                                config.max_attempts,
-                                &mut pending,
-                                &mut failures,
-                                telemetry.as_ref(),
-                                metrics,
-                            );
-                            if let Some(reg) = metrics {
-                                reg.set_gauge("workers_live", workers.len() as f64);
-                            }
-                        }
-                    }
-                    other => {
-                        // Hello/HelloAck/AssignCell/Shutdown from a worker
-                        // are protocol violations; drop the worker.
-                        if let Some(worker) = workers.remove(&id) {
-                            let reason = format!(
-                                "worker {} sent an unexpected {} frame",
-                                worker.name,
-                                other.kind()
-                            );
-                            reassignments += drop_worker(
-                                worker,
-                                reason,
-                                &attempts,
-                                config.max_attempts,
-                                &mut pending,
-                                &mut failures,
-                                telemetry.as_ref(),
-                                metrics,
-                            );
-                            if let Some(reg) = metrics {
-                                reg.set_gauge("workers_live", workers.len() as f64);
-                            }
-                        }
-                    }
-                }
-            }
+            Ok(Event::Joined { id, name, conn }) => ledger.join(id, name, conn),
+            Ok(Event::Frame { id, msg }) => ledger.frame(id, *msg, &mut on_cell),
             Ok(Event::Left { id, reason }) => {
-                if let Some(worker) = workers.remove(&id) {
-                    let reason = format!("worker {} died: {reason}", worker.name);
-                    reassignments += drop_worker(
-                        worker,
-                        reason,
-                        &attempts,
-                        config.max_attempts,
-                        &mut pending,
-                        &mut failures,
-                        telemetry.as_ref(),
-                        metrics,
-                    );
-                    if let Some(reg) = metrics {
-                        reg.set_gauge("workers_live", workers.len() as f64);
-                    }
-                }
+                ledger.drop_worker(id, format_args!("died: {reason}"))
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
-                break Err(DaemonError::Disconnected {
-                    resolved: outcomes.len() + failures.len(),
-                    total,
-                });
+                break Err(DaemonError::Disconnected { resolved: ledger.resolved, total });
             }
         }
-
-        // Liveness: a worker silent past the grace is dead — its
-        // connection may still look open (SIGKILL leaves the socket up
-        // until the kernel notices), so the heartbeat is authoritative.
         let now = Instant::now();
-        let stalled: Vec<u64> = workers
-            .iter()
-            .filter(|(_, w)| now.duration_since(w.last_seen) > config.liveness_grace)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stalled {
-            if let Some(worker) = workers.remove(&id) {
-                let reason = format!(
-                    "worker {} stalled (silent past {:.1} s)",
-                    worker.name,
-                    config.liveness_grace.as_secs_f64()
-                );
-                reassignments += drop_worker(
-                    worker,
-                    reason,
-                    &attempts,
-                    config.max_attempts,
-                    &mut pending,
-                    &mut failures,
-                    telemetry.as_ref(),
-                    metrics,
-                );
-                if let Some(reg) = metrics {
-                    reg.set_gauge("workers_live", workers.len() as f64);
-                }
-            }
-        }
-
-        if workers.is_empty() {
-            if let Some(timeout) = config.no_worker_timeout {
-                if workers_empty_since.elapsed() > timeout {
-                    break Err(DaemonError::NoWorkers {
-                        waited_s: workers_empty_since.elapsed().as_secs_f64(),
-                    });
-                }
-            }
-        } else {
+        ledger.drop_stalled(now, grace);
+        if !ledger.workers.is_empty() {
             workers_empty_since = now;
+        } else if let Some(timeout) = config.no_worker_timeout {
+            let waited = workers_empty_since.elapsed();
+            if waited > timeout {
+                break Err(DaemonError::NoWorkers { waited_s: waited.as_secs_f64() });
+            }
         }
     };
 
-    // Wind down: tell every surviving worker to exit cleanly, then close
-    // the transports so handler threads unblock. Connections whose Joined
-    // event is still queued get the same treatment.
-    for worker in workers.values() {
-        let _ = worker.conn.send(&Message::Shutdown);
-        worker.conn.shutdown();
-    }
+    // Wind down: connections whose Joined event is still queued get the
+    // same clean exit as the workers in the ledger.
+    ledger.shutdown_workers();
     while let Ok(event) = event_rx.try_recv() {
         if let Event::Joined { conn, .. } = event {
             let _ = conn.send(&Message::Shutdown);
             conn.shutdown();
         }
     }
-
     result?;
-
-    if let Some((cell, reason, tried)) = failures.into_iter().min_by_key(|(c, ..)| c.index) {
-        return Err(DaemonError::Cell { cell: Box::new(cell), reason, attempts: tried.max(1) });
-    }
-    outcomes.sort_by_key(|o| o.cell.index);
-    Ok(DistRun {
-        run: SweepRun {
-            outcomes,
-            jobs: workers_seen.max(1),
-            wall_clock_s: started.elapsed().as_secs_f64(),
-        },
-        workers_seen,
-        reassignments,
-    })
+    ledger.into_run(started)
 }

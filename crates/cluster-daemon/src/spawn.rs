@@ -22,6 +22,11 @@ use crossbeam::channel::Sender;
 use crate::daemon::{serve, DaemonConfig, DistRun};
 use crate::error::DaemonError;
 
+/// How long a local sweep waits with no live worker before failing with
+/// [`DaemonError::NoWorkers`]: covers both workers that never start and a
+/// fleet that has died whole.
+const NO_WORKER_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// How to stand up a local daemon-plus-workers sweep.
 #[derive(Debug, Clone)]
 pub struct ProcessSweepOptions {
@@ -29,36 +34,14 @@ pub struct ProcessSweepOptions {
     pub processes: usize,
     /// The `cluster_worker` binary to exec.
     pub worker_bin: PathBuf,
-    /// Pin worker `i` to core `i % cores` via `taskset` when available.
-    pub pin: bool,
     /// The sweep context shipped to every worker at handshake.
     pub context: SweepContext,
-    /// Per-cell attempt cap (see [`DaemonConfig::max_attempts`]).
-    pub max_attempts: usize,
-    /// Abort with [`DaemonError::NoWorkers`] if no worker is live for this
-    /// long — covers both startup failures and a fully-died fleet.
-    pub startup_timeout: Duration,
-    /// When set, each spawned worker writes its own span-stamped JSONL
-    /// trace to `<dir>/worker-local-<i>.jsonl` (the `--trace` flag of
-    /// `cluster_worker`) — the files `trace_tool merge` combines with the
-    /// daemon's trace into one causal timeline.
-    pub worker_trace_dir: Option<PathBuf>,
 }
 
 impl ProcessSweepOptions {
-    /// Pinned workers, 3 attempts per cell, and a 120 s no-worker window
-    /// (model training happens before the handshake completes on slow
-    /// machines — the heartbeat only starts once a worker connects).
+    /// Options for `processes` workers running `worker_bin`.
     pub fn new(processes: usize, worker_bin: PathBuf, context: SweepContext) -> Self {
-        Self {
-            processes,
-            worker_bin,
-            pin: true,
-            context,
-            max_attempts: 3,
-            startup_timeout: Duration::from_secs(120),
-            worker_trace_dir: None,
-        }
+        Self { processes, worker_bin, context }
     }
 }
 
@@ -99,24 +82,18 @@ pub fn accept_unix(
     })
 }
 
-fn worker_command(
-    opts: &ProcessSweepOptions,
-    socket: &Path,
-    index: usize,
-    cores: usize,
-) -> Command {
+/// The command for worker `index`, pinned to core `index % cores` when
+/// `taskset` is available.
+fn worker_command(worker_bin: &Path, socket: &Path, index: usize, cores: usize) -> Command {
     let taskset = Path::new("/usr/bin/taskset");
-    let mut cmd = if opts.pin && taskset.exists() {
+    let mut cmd = if taskset.exists() {
         let mut c = Command::new(taskset);
-        c.arg("-c").arg((index % cores.max(1)).to_string()).arg(&opts.worker_bin);
+        c.arg("-c").arg((index % cores.max(1)).to_string()).arg(worker_bin);
         c
     } else {
-        Command::new(&opts.worker_bin)
+        Command::new(worker_bin)
     };
     cmd.arg("--connect").arg(socket).arg("--name").arg(format!("local-{index}"));
-    if let Some(dir) = &opts.worker_trace_dir {
-        cmd.arg("--trace").arg(dir.join(format!("worker-local-{index}.jsonl")));
-    }
     cmd
 }
 
@@ -157,27 +134,26 @@ pub fn run_distributed(
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut children: Vec<Child> = Vec::with_capacity(opts.processes.max(1));
+    let mut spawn_error = None;
     for i in 0..opts.processes.max(1) {
-        let mut cmd = worker_command(opts, &path, i, cores);
+        let mut cmd = worker_command(&opts.worker_bin, &path, i, cores);
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(source) => {
-                stop.store(true, Ordering::Relaxed);
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                let _ = acceptor.join();
-                let _ = std::fs::remove_file(&path);
-                return Err(DaemonError::Spawn { command: format!("{cmd:?}"), source });
+                spawn_error = Some(DaemonError::Spawn { command: format!("{cmd:?}"), source });
+                break;
             }
         }
     }
 
-    let mut config = DaemonConfig::new(opts.context.clone());
-    config.max_attempts = opts.max_attempts;
-    config.no_worker_timeout = Some(opts.startup_timeout);
-    let result = serve(spec, &config, conn_rx, telemetry, on_cell);
+    let result = match spawn_error {
+        Some(e) => Err(e),
+        None => {
+            let mut config = DaemonConfig::new(opts.context.clone());
+            config.no_worker_timeout = Some(NO_WORKER_TIMEOUT);
+            serve(spec, &config, conn_rx, telemetry, on_cell)
+        }
+    };
 
     stop.store(true, Ordering::Relaxed);
     let _ = acceptor.join();

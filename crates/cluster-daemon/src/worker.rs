@@ -115,38 +115,20 @@ fn fleet_from_context(ctx: &SweepContext) -> Result<Arc<FleetModel>, String> {
 /// names, so every worker trains the exact tables the daemon's in-process
 /// peer would use.
 pub fn run_worker(wire: Box<dyn Wire>, name: &str) -> Result<(), WorkerError> {
-    run_worker_traced(wire, name, None)
+    run_worker_with(wire, name, None, None)
 }
 
-/// [`run_worker`] with an optional local sink (e.g. a worker-side
-/// `--trace` JSONL file) that receives the same span-stamped events the
-/// daemon does — whether or not the daemon asked for them.
-pub fn run_worker_traced(
-    wire: Box<dyn Wire>,
-    name: &str,
-    local: Option<SharedSink>,
-) -> Result<(), WorkerError> {
-    run_worker_full(wire, name, local, fleet_from_context)
-}
-
-/// [`run_worker`] with an injectable fleet source — tests hand every
-/// duplex worker one prebuilt `Arc` instead of re-training per worker.
+/// [`run_worker`] with two optional inputs. `local` is a sink (a
+/// worker-side `--trace` JSONL file, say) that receives the same
+/// span-stamped events the daemon does, whether or not the daemon asked
+/// for them. `fleet` is a prebuilt fleet used in place of the one the
+/// context names: tests hand every duplex worker one shared `Arc` instead
+/// of retraining per worker.
 pub fn run_worker_with(
     wire: Box<dyn Wire>,
     name: &str,
-    fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
-) -> Result<(), WorkerError> {
-    run_worker_full(wire, name, None, fleet_builder)
-}
-
-/// The fully-general worker entry point: injectable fleet source *and*
-/// optional local telemetry sink beside the daemon forwarder (which exists
-/// only when the daemon asked for traces at handshake).
-pub fn run_worker_full(
-    wire: Box<dyn Wire>,
-    name: &str,
     local: Option<SharedSink>,
-    fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
+    fleet: Option<Arc<FleetModel>>,
 ) -> Result<(), WorkerError> {
     let conn = Arc::new(Connection::new(wire).map_err(RpcError::from)?);
     let (ctx, traces) = client_handshake(&conn, name)?;
@@ -168,7 +150,7 @@ pub fn run_worker_full(
     };
 
     let span = span_pipeline(&conn, traces, local, ctx.run_id, name);
-    let result = worker_loop(&conn, span, &ctx, fleet_builder);
+    let result = worker_loop(&conn, span, &ctx, fleet);
 
     drop(stop);
     conn.shutdown();
@@ -200,11 +182,14 @@ fn worker_loop(
     conn: &Connection,
     span: Option<Arc<SpanSink>>,
     ctx: &SweepContext,
-    fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
+    fleet: Option<Arc<FleetModel>>,
 ) -> Result<(), WorkerError> {
     let workload = workload_shape_by_name(&ctx.workload)
         .ok_or_else(|| WorkerError::UnknownShape { name: ctx.workload.clone() })?;
-    let fleet = fleet_builder(ctx).map_err(|reason| WorkerError::Model { reason })?;
+    let fleet = match fleet {
+        Some(fleet) => fleet,
+        None => fleet_from_context(ctx).map_err(|reason| WorkerError::Model { reason })?,
+    };
     let telemetry = span.clone().map(|span| span as SharedSink);
     loop {
         match conn.recv()? {
@@ -246,7 +231,7 @@ mod tests {
 
     use actor_core::config::ActorConfig;
     use actor_core::telemetry::MemorySink;
-    use cluster_rpc::{duplex, server_handshake};
+    use cluster_rpc::{duplex, server_accept, Accepted};
     use cluster_sched::{quad_test_workload, SweepCell, SweepSpec};
     use npb_workloads::BenchmarkId;
 
@@ -295,10 +280,13 @@ mod tests {
         let fleet = fleet();
         let (daemon_side, worker_side) = duplex();
         let worker = std::thread::spawn(move || {
-            run_worker_full(Box::new(worker_side), "w-hand", local, |_| Ok(fleet))
+            run_worker_with(Box::new(worker_side), "w-hand", local, Some(fleet))
         });
         let daemon = Connection::new(Box::new(daemon_side)).unwrap();
-        assert_eq!(server_handshake(&daemon, &context(25), traces).unwrap(), "w-hand");
+        assert_eq!(
+            server_accept(&daemon, &context(25), traces, None).unwrap(),
+            Accepted::Worker("w-hand".into())
+        );
         let mut answers = Vec::new();
         for cell in cells() {
             daemon.send(&Message::AssignCell(cell)).unwrap();
@@ -401,10 +389,10 @@ mod tests {
         let fleet = fleet();
         let (daemon_side, worker_side) = duplex();
         let worker = std::thread::spawn(move || {
-            run_worker_with(Box::new(worker_side), "w-slow", |_| Ok(fleet))
+            run_worker_with(Box::new(worker_side), "w-slow", None, Some(fleet))
         });
         let daemon = Connection::new(Box::new(daemon_side)).unwrap();
-        server_handshake(&daemon, &context(10_000), false).unwrap();
+        server_accept(&daemon, &context(10_000), false, None).unwrap();
         // The first heartbeat goes out at once; the next is 10 s away.
         assert_eq!(daemon.recv().unwrap(), Message::Heartbeat);
         daemon.send(&Message::Shutdown).unwrap();

@@ -1,7 +1,8 @@
 //! Daemon + worker integration over in-memory duplexes: completion parity
-//! with `run_sweep_fleet`, reassignment on worker death and stall, terminal
-//! simulation failures, the no-worker timeout, and worker telemetry that
-//! crosses the wire only when the daemon records it.
+//! with `run_sweep_fleet`, reassignment on worker death, stall and
+//! protocol violation, terminal simulation failures, the no-worker
+//! timeout, and worker telemetry that crosses the wire only when the
+//! daemon records it.
 //!
 //! Every duplex worker gets the one prebuilt fleet via `run_worker_with` —
 //! the process-level path (which re-trains per worker) is covered by the
@@ -63,7 +64,7 @@ fn spawn_worker(
 ) -> std::thread::JoinHandle<Result<(), cluster_daemon::WorkerError>> {
     let (daemon_side, worker_side) = duplex();
     conns.send(Box::new(daemon_side)).map_err(|_| "conns channel closed").unwrap();
-    std::thread::spawn(move || run_worker_with(Box::new(worker_side), name, |_| Ok(fleet())))
+    std::thread::spawn(move || run_worker_with(Box::new(worker_side), name, None, Some(fleet())))
 }
 
 #[test]
@@ -186,6 +187,81 @@ fn a_stalled_worker_is_declared_dead_by_the_heartbeat_scan() {
 
     staller.join().unwrap();
     survivor.join().unwrap().unwrap();
+}
+
+/// A worker that keeps heartbeating but answers its assignment with a
+/// result for another cell (`wrong_index` maps the held index to the one
+/// it names) breaks the protocol: the daemon must drop it and requeue the
+/// held cell, never record the stray result, and never hang waiting on a
+/// cell nobody is computing. `serve` runs under a watchdog so a hang fails
+/// the test instead of stalling the suite.
+fn a_rogue_result_is_dropped_and_its_cell_requeued(wrong_index: fn(usize, usize) -> usize) {
+    let spec = spec();
+    let serial = run_sweep_fleet(&spec, &fleet(), 1, None, |_, _, _| {}).unwrap();
+
+    let (conn_tx, conn_rx) = unbounded();
+    let (got_cell_tx, got_cell_rx) = unbounded();
+    let (daemon_side, worker_side) = duplex();
+    conn_tx
+        .send(Box::new(daemon_side) as Box<dyn Wire>)
+        .map_err(|_| "conns channel closed")
+        .unwrap();
+    let reports = serial.outcomes.clone();
+    let rogue = std::thread::spawn(move || {
+        let conn = Arc::new(Connection::new(Box::new(worker_side)).unwrap());
+        client_handshake(&conn, "rogue").unwrap();
+        let heartbeat = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || {
+                while conn.send(&Message::Heartbeat).is_ok() {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            })
+        };
+        while let Ok(Message::AssignCell(cell)) = conn.recv() {
+            let _ = got_cell_tx.send(());
+            // A genuine report, for the wrong cell where one exists.
+            let index = wrong_index(cell.index, reports.len());
+            let report = reports[index.min(reports.len() - 1)].report.clone();
+            let outcome = CellOutcome::Completed(report);
+            if conn.send(&Message::CellResult { index, outcome }).is_err() {
+                break;
+            }
+        }
+        conn.shutdown();
+        heartbeat.join().unwrap();
+    });
+    let survivor = std::thread::spawn(move || {
+        got_cell_rx.recv().unwrap();
+        let worker = spawn_worker(&conn_tx, "survivor");
+        drop(conn_tx);
+        worker.join().unwrap()
+    });
+
+    let (done_tx, done_rx) = unbounded();
+    std::thread::spawn(move || {
+        let served = serve(&spec, &DaemonConfig::new(context()), conn_rx, None, |_, _, _| {});
+        let _ = done_tx.send(served);
+    });
+    let dist = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve hung on a cell the rogue worker never computed")
+        .unwrap();
+    assert!(dist.reassignments >= 1, "the rogue worker's held cell must be requeued");
+    assert_eq!(dist.run.outcomes, serial.outcomes);
+
+    rogue.join().unwrap();
+    survivor.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_result_for_another_cell_is_a_protocol_violation() {
+    a_rogue_result_is_dropped_and_its_cell_requeued(|held, total| (held + 1) % total);
+}
+
+#[test]
+fn a_result_for_a_cell_past_the_grid_is_a_protocol_violation() {
+    a_rogue_result_is_dropped_and_its_cell_requeued(|_, total| total);
 }
 
 #[test]
@@ -528,7 +604,7 @@ fn serve_counted(spec: &SweepSpec, telemetry: Option<SharedSink>) -> (DistRun, A
                 .map_err(|_| "conns channel closed")
                 .unwrap();
             std::thread::spawn(move || {
-                run_worker_with(Box::new(worker_side), name, |_| Ok(fleet()))
+                run_worker_with(Box::new(worker_side), name, None, Some(fleet()))
             })
         })
         .collect();

@@ -202,20 +202,6 @@ pub fn server_accept(
     }
 }
 
-/// Daemon side of the worker handshake ([`server_accept`] restricted to
-/// workers): expects a version-matching `Hello`, replies with `HelloAck`
-/// carrying `context` and `traces`, and returns the worker's name.
-pub fn server_handshake(
-    conn: &Connection,
-    context: &SweepContext,
-    traces: bool,
-) -> Result<String, RpcError> {
-    match server_accept(conn, context, traces, None)? {
-        Accepted::Worker(name) => Ok(name),
-        Accepted::MetricsServed => unreachable!("server_accept with no metrics cannot serve them"),
-    }
-}
-
 /// Client side of the metrics exchange: sends `MetricsRequest` as the
 /// connection's first (and only) frame and returns the daemon's text
 /// exposition.
@@ -312,16 +298,16 @@ mod tests {
         let (daemon, worker) = pair();
         let ctx = context();
         let server =
-            std::thread::spawn(move || server_handshake(&daemon, &context(), true).unwrap());
+            std::thread::spawn(move || server_accept(&daemon, &context(), true, None).unwrap());
         let got = client_handshake(&worker, "w0").unwrap();
-        assert_eq!(server.join().unwrap(), "w0");
+        assert_eq!(server.join().unwrap(), Accepted::Worker("w0".into()));
         assert_eq!(got, (ctx, true));
     }
 
     #[test]
     fn version_mismatch_is_rejected_on_both_sides() {
         let (daemon, worker) = pair();
-        let server = std::thread::spawn(move || server_handshake(&daemon, &context(), false));
+        let server = std::thread::spawn(move || server_accept(&daemon, &context(), false, None));
         // A worker from the future.
         worker
             .send(&Message::Hello { version: PROTOCOL_VERSION + 1, worker: "w9".into() })
@@ -344,7 +330,7 @@ mod tests {
     fn protocol_violations_name_the_unexpected_message() {
         let (daemon, worker) = pair();
         worker.send(&Message::Heartbeat).unwrap();
-        let err = server_handshake(&daemon, &context(), false).unwrap_err();
+        let err = server_accept(&daemon, &context(), false, None).unwrap_err();
         assert!(err.to_string().contains("Heartbeat"), "{err}");
     }
 

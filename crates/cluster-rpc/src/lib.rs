@@ -40,8 +40,7 @@ pub mod message;
 pub mod wire;
 
 pub use conn::{
-    client_handshake, request_metrics, server_accept, server_handshake, Accepted, Connection,
-    PROTOCOL_VERSION,
+    client_handshake, request_metrics, server_accept, Accepted, Connection, PROTOCOL_VERSION,
 };
 pub use message::{CellOutcome, Message, RpcError, SweepContext};
 pub use wire::{duplex, DuplexWire, Wire, MAX_FRAME_LEN};

@@ -10,7 +10,7 @@
 use actor_core::config::ActorConfig;
 use actor_core::telemetry::{SpanContext, SpannedEvent, TraceEvent};
 use cluster_rpc::{
-    client_handshake, duplex, server_handshake, CellOutcome, Connection, Message, RpcError,
+    client_handshake, duplex, server_accept, Accepted, CellOutcome, Connection, Message, RpcError,
     SweepContext, PROTOCOL_VERSION,
 };
 use cluster_sched::{ClusterReport, Job, JobOutcome, SweepCell, SweepPoint};
@@ -285,9 +285,10 @@ fn handshake_round_trips_the_context() {
     let (daemon, worker) = pair();
     let ctx = context(42, 7.5, 250);
     let server_ctx = ctx.clone();
-    let server = std::thread::spawn(move || server_handshake(&daemon, &server_ctx, true).unwrap());
+    let server =
+        std::thread::spawn(move || server_accept(&daemon, &server_ctx, true, None).unwrap());
     let got = client_handshake(&worker, "external-1").unwrap();
-    assert_eq!(server.join().unwrap(), "external-1");
+    assert_eq!(server.join().unwrap(), Accepted::Worker("external-1".into()));
     assert_eq!(got, (ctx, true));
 }
 
@@ -304,10 +305,10 @@ fn hello_ack_carries_the_traces_flag_either_way() {
 
         let (daemon, worker) = pair();
         let server = std::thread::spawn(move || {
-            server_handshake(&daemon, &context(7, 1.0, 50), traces).unwrap()
+            server_accept(&daemon, &context(7, 1.0, 50), traces, None).unwrap()
         });
         let (_, told) = client_handshake(&worker, "w-flag").unwrap();
-        assert_eq!(server.join().unwrap(), "w-flag");
+        assert_eq!(server.join().unwrap(), Accepted::Worker("w-flag".into()));
         assert_eq!(told, traces);
     }
 }
@@ -318,7 +319,8 @@ fn hello_ack_carries_the_traces_flag_either_way() {
 fn a_v3_hello_is_rejected_with_a_version_mismatch() {
     assert_eq!(PROTOCOL_VERSION, 4);
     let (daemon, worker) = pair();
-    let server = std::thread::spawn(move || server_handshake(&daemon, &context(3, 1.0, 50), true));
+    let server =
+        std::thread::spawn(move || server_accept(&daemon, &context(3, 1.0, 50), true, None));
     worker.send(&Message::Hello { version: 3, worker: "w-old".into() }).unwrap();
     let mismatch = RpcError::VersionMismatch { ours: 4, theirs: 3 };
     assert_eq!(server.join().unwrap().unwrap_err(), mismatch);

@@ -5,12 +5,10 @@
 //!   avoiding the hand-tuned, machine-specific model derivation. Implemented
 //!   here as ridge-regularised least squares per target configuration, so the
 //!   ANN-vs-regression ablation of Section IV-B can be reproduced.
-//! * **Empirical search** — the online search strategy of \[17\]: execute each
-//!   candidate configuration once, measure it, and keep the best. Costs one
-//!   exploration pass over the configuration space (prohibitive with many
-//!   cores, as the paper notes), but needs no model at all.
+//!
+//! The other baseline, the online empirical search of \[17\], is
+//! [`crate::controller::EmpiricalSearchController`].
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use hwcounters::EventSet;
@@ -137,101 +135,6 @@ fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>
     Some(x)
 }
 
-/// The empirical-search policy of \[17\]: measure each candidate configuration
-/// once (in the supplied order) and lock in the fastest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmpiricalSearchPolicy {
-    candidates: Vec<Configuration>,
-    observations: Vec<(Configuration, f64)>,
-    decision: Option<Configuration>,
-}
-
-impl Default for EmpiricalSearchPolicy {
-    fn default() -> Self {
-        Self::new(Configuration::ALL.to_vec())
-    }
-}
-
-impl EmpiricalSearchPolicy {
-    /// Creates a search over the given candidate configurations.
-    pub fn new(candidates: Vec<Configuration>) -> Self {
-        Self { candidates, observations: Vec::new(), decision: None }
-    }
-
-    /// The configuration to run next: the next unexplored candidate during
-    /// the search, then the locked decision forever after.
-    pub fn next_configuration(&self) -> Configuration {
-        if let Some(decision) = self.decision {
-            return decision;
-        }
-        self.candidates
-            .get(self.observations.len())
-            .copied()
-            .unwrap_or_else(|| self.best_observed().unwrap_or(Configuration::Four))
-    }
-
-    /// Reports the measured cost (e.g. execution time) of running the phase
-    /// on `config`. Once every candidate has a measurement the search locks
-    /// the cheapest one.
-    pub fn observe(&mut self, config: Configuration, cost: f64) {
-        if self.decision.is_some() {
-            return;
-        }
-        self.observations.push((config, cost));
-        if self.observations.len() >= self.candidates.len() {
-            self.decision = self.best_observed();
-        }
-    }
-
-    /// The decision, once the search has finished.
-    pub fn decision(&self) -> Option<Configuration> {
-        self.decision
-    }
-
-    /// The fastest configuration measured so far and its cost, if anything
-    /// has been measured.
-    pub fn best(&self) -> Option<(Configuration, f64)> {
-        self.observations
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
-            .copied()
-    }
-
-    /// Number of exploration steps performed so far.
-    pub fn explored(&self) -> usize {
-        self.observations.len()
-    }
-
-    /// Number of phase executions the search will spend exploring — the
-    /// overhead the paper contrasts with prediction-based adaptation.
-    pub fn exploration_cost(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn best_observed(&self) -> Option<Configuration> {
-        self.observations
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
-            .map(|(c, _)| *c)
-    }
-}
-
-/// Convenience: run an empirical search to completion given a cost oracle
-/// (used in tests and ablation benches).
-pub fn empirical_search_decide<R: Rng + ?Sized>(
-    candidates: &[Configuration],
-    mut cost: impl FnMut(Configuration, &mut R) -> f64,
-    rng: &mut R,
-) -> Configuration {
-    let mut policy = EmpiricalSearchPolicy::new(candidates.to_vec());
-    while policy.decision().is_none() {
-        let c = policy.next_configuration();
-        let measured = cost(c, rng);
-        policy.observe(c, measured);
-    }
-    policy.decision().expect("search finished")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,43 +190,5 @@ mod tests {
         assert!(reg.predict(&[1.0]).is_err());
         let empty = c.only(BenchmarkId::Mg);
         assert!(LinearRegressionPredictor::train(&empty, 1e-3).is_err());
-    }
-
-    #[test]
-    fn empirical_search_explores_then_locks_best() {
-        let mut policy = EmpiricalSearchPolicy::default();
-        assert_eq!(policy.exploration_cost(), 5);
-        let costs = [
-            (Configuration::One, 10.0),
-            (Configuration::TwoTight, 8.0),
-            (Configuration::TwoLoose, 4.0),
-            (Configuration::Three, 6.0),
-            (Configuration::Four, 7.0),
-        ];
-        for (c, cost) in costs {
-            assert_eq!(policy.next_configuration(), c, "candidates explored in order");
-            policy.observe(c, cost);
-        }
-        assert_eq!(policy.decision(), Some(Configuration::TwoLoose));
-        assert_eq!(policy.next_configuration(), Configuration::TwoLoose);
-        assert_eq!(policy.explored(), 5);
-        // Further observations are ignored once locked.
-        policy.observe(Configuration::One, 0.1);
-        assert_eq!(policy.decision(), Some(Configuration::TwoLoose));
-    }
-
-    #[test]
-    fn empirical_search_decide_matches_cost_oracle() {
-        let machine = Machine::xeon_qx6600();
-        let bench = suite::benchmark(BenchmarkId::Is);
-        let phase = &bench.phases[0];
-        let mut rng = StdRng::seed_from_u64(7);
-        let chosen = empirical_search_decide(
-            &Configuration::ALL,
-            |c, _| machine.simulate_config(phase, c).time_s,
-            &mut rng,
-        );
-        // IS's rank phase is fastest on two loosely-coupled cores.
-        assert_eq!(chosen, Configuration::TwoLoose);
     }
 }

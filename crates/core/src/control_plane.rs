@@ -206,11 +206,6 @@ impl<C: PowerPerfController> ControlPlane<C> {
         &mut self.controller
     }
 
-    /// Unwraps the plane back into its controller.
-    pub fn into_controller(self) -> C {
-        self.controller
-    }
-
     /// Feeds one observation of `phase` unconditionally (live measurement
     /// loops observe every execution).
     pub fn observe(&mut self, phase: PhaseId, sample: &PhaseSample) {

@@ -1140,14 +1140,12 @@ impl PowerPerfController for StaticController {
 /// earlier work \[17\]. Each phase measures every candidate once and then
 /// locks the fastest.
 ///
-/// Unlike the raw [`crate::baselines::EmpiricalSearchPolicy`] (which counts
-/// observations and assumes the caller feeds exactly one per candidate), this
-/// controller
-/// tracks coverage *by configuration*: duplicate measurements of a
-/// candidate — common in generic harnesses that replay the sampling window
-/// alongside decided configurations — are dropped (the first measurement
-/// wins) rather than consuming another exploration slot, so the search
-/// never locks before every candidate has actually been measured.
+/// The controller tracks coverage *by configuration*: duplicate
+/// measurements of a candidate — common in generic harnesses that replay
+/// the sampling window alongside decided configurations — are dropped (the
+/// first measurement wins) rather than consuming another exploration slot,
+/// so the search never locks before every candidate has actually been
+/// measured.
 #[derive(Debug, Clone)]
 pub struct EmpiricalSearchController {
     candidates: Vec<Configuration>,

@@ -69,7 +69,7 @@ pub use adaptation::{
     adaptation_with_controller, run_adaptation_study, run_adaptation_study_seeded, AdaptationStudy,
     BenchmarkAdaptation, Metric, Strategy, StrategyOutcome,
 };
-pub use baselines::{EmpiricalSearchPolicy, LinearRegressionPredictor};
+pub use baselines::LinearRegressionPredictor;
 pub use config::{ActorConfig, PredictorConfig};
 pub use conformance::{assert_controller_conformance, ConformanceOptions};
 pub use control_plane::{ControlPlane, ControlViolation, PlaneDecision};

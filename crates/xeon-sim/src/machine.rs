@@ -92,16 +92,6 @@ impl Machine {
         &self.params
     }
 
-    /// The power model (useful for charging idle intervals).
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
-    /// The bus contention model.
-    pub fn bus_model(&self) -> &BusModel {
-        &self.bus
-    }
-
     /// The machine's voltage/frequency ladder.
     pub fn freq_ladder(&self) -> &crate::params::FreqLadder {
         &self.params.freq_ladder

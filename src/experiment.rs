@@ -406,20 +406,6 @@ impl Experiment {
         self.controller = controller;
     }
 
-    /// Sets (or clears, with `None`) the per-phase power cap for subsequent
-    /// adaptation studies; cached evaluations survive.
-    pub fn set_power_budget_w(&mut self, budget_w: Option<f64>) -> Result<(), ActorError> {
-        if let Some(b) = budget_w {
-            if !(b.is_finite() && b > 0.0) {
-                return Err(ActorError::InvalidConfig {
-                    reason: format!("power_budget_w must be positive and finite, got {b}"),
-                });
-            }
-        }
-        self.power_budget_w = budget_w;
-        Ok(())
-    }
-
     /// Toggles the frequency axis for subsequent adaptation studies; cached
     /// evaluations survive.
     pub fn set_dvfs(&mut self, enabled: bool) {
@@ -439,11 +425,6 @@ impl Experiment {
     /// Reports a named file artefact (`filename` includes the extension).
     pub fn artifact(&mut self, filename: &str, contents: &str) {
         self.reporter.artifact(filename, contents);
-    }
-
-    /// Swaps the reporter (e.g. to silence an experiment in tests).
-    pub fn set_reporter(&mut self, reporter: Box<dyn Reporter>) {
-        self.reporter = reporter;
     }
 
     /// Discards all further output.
