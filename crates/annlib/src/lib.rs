@@ -17,7 +17,7 @@
 //! dependency): dense matrices ([`matrix`]), activation functions
 //! ([`activation`]), multilayer perceptrons ([`network`]), an SGD +
 //! momentum trainer with early stopping ([`train`]), dataset handling and
-//! k-fold splitting ([`dataset`]), feature/target scalers ([`scaler`]),
+//! k-fold splitting ([`dataset`]), a feature/target scaler ([`scaler`]),
 //! cross-validation ensembles ([`crossval`]) and regression metrics
 //! ([`metrics`]). Models serialise with serde for offline training / online
 //! reuse.
@@ -55,7 +55,7 @@ pub use dataset::Dataset;
 pub use error::AnnError;
 pub use matrix::{BatchScratch, Matrix};
 pub use network::Mlp;
-pub use scaler::{MinMaxScaler, StandardScaler};
+pub use scaler::StandardScaler;
 pub use train::{TrainConfig, TrainReport, Trainer};
 
 /// Convenient glob import for downstream users.
@@ -67,6 +67,6 @@ pub mod prelude {
     pub use crate::matrix::{BatchScratch, Matrix};
     pub use crate::metrics;
     pub use crate::network::Mlp;
-    pub use crate::scaler::{MinMaxScaler, StandardScaler};
+    pub use crate::scaler::StandardScaler;
     pub use crate::train::{TrainConfig, TrainReport, Trainer};
 }

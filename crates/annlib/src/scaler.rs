@@ -1,4 +1,4 @@
-//! Feature/target scalers.
+//! Feature/target scaling.
 //!
 //! Hardware-event rates span several orders of magnitude (branch rates near
 //! 0.1/cycle, TLB miss rates near 1e-5/cycle), so inputs are standardised
@@ -132,92 +132,6 @@ impl StandardScaler {
     }
 }
 
-/// Min-max scaling into `[lo, hi]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    lo: f64,
-    hi: f64,
-}
-
-impl MinMaxScaler {
-    /// Fits a scaler mapping each column's observed range onto `[lo, hi]`.
-    pub fn fit(rows: &[Vec<f64>], lo: f64, hi: f64) -> Result<Self, AnnError> {
-        if rows.is_empty() {
-            return Err(AnnError::InsufficientData {
-                requirement: "scaler needs at least one row".into(),
-            });
-        }
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(AnnError::InvalidConfig {
-                reason: format!("min-max range must satisfy lo < hi, got [{lo}, {hi}]"),
-            });
-        }
-        let dim = rows[0].len();
-        let mut mins = vec![f64::INFINITY; dim];
-        let mut maxs = vec![f64::NEG_INFINITY; dim];
-        for r in rows {
-            if r.len() != dim {
-                return Err(AnnError::LengthMismatch {
-                    what: "scaler row width",
-                    expected: dim,
-                    actual: r.len(),
-                });
-            }
-            for i in 0..dim {
-                mins[i] = mins[i].min(r[i]);
-                maxs[i] = maxs[i].max(r[i]);
-            }
-        }
-        Ok(Self { mins, maxs, lo, hi })
-    }
-
-    /// Dimensionality the scaler was fitted on.
-    pub fn dim(&self) -> usize {
-        self.mins.len()
-    }
-
-    /// Transforms one row (constant columns map to the middle of the range).
-    pub fn transform(&self, row: &[f64]) -> Result<Vec<f64>, AnnError> {
-        if row.len() != self.dim() {
-            return Err(AnnError::DimensionMismatch { expected: self.dim(), actual: row.len() });
-        }
-        Ok(row
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let span = self.maxs[i] - self.mins[i];
-                if span <= 1e-12 {
-                    (self.lo + self.hi) / 2.0
-                } else {
-                    self.lo + (v - self.mins[i]) / span * (self.hi - self.lo)
-                }
-            })
-            .collect())
-    }
-
-    /// Inverse transform of one row (constant columns return their fitted
-    /// minimum).
-    pub fn inverse(&self, row: &[f64]) -> Result<Vec<f64>, AnnError> {
-        if row.len() != self.dim() {
-            return Err(AnnError::DimensionMismatch { expected: self.dim(), actual: row.len() });
-        }
-        Ok(row
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let span = self.maxs[i] - self.mins[i];
-                if span <= 1e-12 {
-                    self.mins[i]
-                } else {
-                    self.mins[i] + (v - self.lo) / (self.hi - self.lo) * span
-                }
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,30 +171,6 @@ mod tests {
         assert!(s.inverse(&[1.0]).is_err());
     }
 
-    #[test]
-    fn minmax_scaler_maps_range() {
-        let rows = vec![vec![0.0], vec![10.0]];
-        let s = MinMaxScaler::fit(&rows, 0.1, 0.9).unwrap();
-        assert_eq!(s.dim(), 1);
-        assert!((s.transform(&[0.0]).unwrap()[0] - 0.1).abs() < 1e-12);
-        assert!((s.transform(&[10.0]).unwrap()[0] - 0.9).abs() < 1e-12);
-        assert!((s.transform(&[5.0]).unwrap()[0] - 0.5).abs() < 1e-12);
-        let back = s.inverse(&[0.5]).unwrap();
-        assert!((back[0] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn minmax_scaler_errors_and_constants() {
-        assert!(MinMaxScaler::fit(&[], 0.0, 1.0).is_err());
-        assert!(MinMaxScaler::fit(&[vec![1.0]], 1.0, 0.0).is_err());
-        assert!(MinMaxScaler::fit(&[vec![1.0], vec![1.0, 2.0]], 0.0, 1.0).is_err());
-        let s = MinMaxScaler::fit(&[vec![4.0], vec![4.0]], 0.0, 1.0).unwrap();
-        assert!((s.transform(&[4.0]).unwrap()[0] - 0.5).abs() < 1e-12);
-        assert!((s.inverse(&[0.5]).unwrap()[0] - 4.0).abs() < 1e-12);
-        assert!(s.transform(&[1.0, 2.0]).is_err());
-        assert!(s.inverse(&[1.0, 2.0]).is_err());
-    }
-
     proptest! {
         #[test]
         fn standard_scaler_inverse_is_identity(
@@ -291,18 +181,6 @@ mod tests {
             let s = StandardScaler::fit(&rows).unwrap();
             let round = s.inverse(&s.transform(&[probe]).unwrap()).unwrap()[0];
             prop_assert!((round - probe).abs() < 1e-6);
-        }
-
-        #[test]
-        fn minmax_output_within_range(
-            vals in proptest::collection::vec(-1e3f64..1e3, 4..20),
-            idx in 0usize..4,
-        ) {
-            let rows: Vec<Vec<f64>> = vals.iter().map(|&v| vec![v]).collect();
-            let s = MinMaxScaler::fit(&rows, 0.1, 0.9).unwrap();
-            let probe = vals[idx.min(vals.len() - 1)];
-            let t = s.transform(&[probe]).unwrap()[0];
-            prop_assert!((0.1 - 1e-9..=0.9 + 1e-9).contains(&t));
         }
     }
 }

@@ -6,10 +6,11 @@
 //! search. All three approaches are `PowerPerfController`s here — the ANN
 //! and the regression share the `PredictorController` control path with only
 //! the model swapped, and empirical search is the model-free
-//! `EmpiricalSearchController` — so this binary is also a demonstration that
-//! decision-makers are drop-in interchangeable behind the trait. For every
-//! phase of every benchmark it reports the chosen configuration's true rank
-//! and the time lost relative to the phase-optimal choice.
+//! `JointSearchController` offered no frequency ladder — so this binary is
+//! also a demonstration that decision-makers are drop-in interchangeable
+//! behind the trait. For every phase of every benchmark it reports the
+//! chosen configuration's true rank and the time lost relative to the
+//! phase-optimal choice.
 //!
 //! Pass `--fast` for the reduced training configuration.
 
@@ -19,8 +20,8 @@ use rand::SeedableRng;
 use actor_bench::Harness;
 use actor_core::baselines::LinearRegressionPredictor;
 use actor_core::controller::{
-    shape_of, CandidatePerf, DecisionCtx, EmpiricalSearchController, PhaseSample,
-    PowerPerfController, PredictorController, Rationale,
+    shape_of, CandidatePerf, DecisionCtx, JointSearchController, PhaseSample, PowerPerfController,
+    PredictorController, Rationale,
 };
 use actor_core::predictor::AnnPredictor;
 use actor_core::report::{fmt3, fmt_pct, Table};
@@ -133,7 +134,7 @@ fn main() {
             // Empirical search: decides, measures, repeats — it always finds
             // the best configuration, but pays one execution of every
             // candidate to do so.
-            let mut search = EmpiricalSearchController::default();
+            let mut search = JointSearchController::default();
             for _ in 0..Configuration::ALL.len() {
                 let ctx = DecisionCtx::unconstrained(pid, &shape, &candidates);
                 let probe = search.decide(&ctx).configuration(&shape).expect("paper configuration");

@@ -7,7 +7,7 @@
 //!   ANN-vs-regression ablation of Section IV-B can be reproduced.
 //!
 //! The other baseline, the online empirical search of \[17\], is
-//! [`crate::controller::EmpiricalSearchController`].
+//! [`crate::controller::JointSearchController`] without a ladder.
 
 use serde::{Deserialize, Serialize};
 

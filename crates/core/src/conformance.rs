@@ -100,9 +100,9 @@ impl ConformanceOptions {
 
 /// Number of synthetic phases the script exercises.
 const PHASES: usize = 3;
-/// Observation/decision rounds per phase (enough to finish a five-candidate
-/// empirical search at nominal; the joint search keeps exploring, which
-/// exercises the exploration path under every check).
+/// Observation/decision rounds per phase (enough to finish the joint
+/// search's five-candidate nominal script; on the DVFS script it keeps
+/// exploring, which exercises the exploration path under every check).
 const ROUNDS: usize = 7;
 
 /// The ladder the DVFS-enabled script offers.

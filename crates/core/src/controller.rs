@@ -31,12 +31,11 @@
 //!
 //! | Controller | Decision source |
 //! |---|---|
-//! | [`PredictorController`] (alias [`AnnController`]) | live [`IpcPredictor`] inference on observed features |
+//! | [`PredictorController`] (alias [`AnnController`]) | live [`IpcPredictor`] inference on each observed sampling window, enforced through a [`DecisionTableController`] |
 //! | [`DecisionTableController`] | pre-computed offline [`ThrottleDecision`]s (the paper's deployment mode) |
 //! | [`OracleController`] | ground-truth per-configuration measurements |
 //! | [`StaticController`] | a fixed configuration (OS default / global-optimal baselines) |
-//! | [`EmpiricalSearchController`] | model-free exploration, as in the authors' earlier work \[17\] |
-//! | [`JointSearchController`] | model-free exploration of the joint (threads × frequency) space |
+//! | [`JointSearchController`] | model-free exploration of the joint (threads × frequency) space; without a ladder, the online empirical search of the authors' earlier work \[17\] |
 //!
 //! The decision space is the joint (threads × frequency) grid: a caller that
 //! can actuate DVFS offers the machine's ladder through
@@ -762,25 +761,31 @@ fn lowest_power_candidate(candidates: &[CandidatePerf]) -> Configuration {
         .unwrap_or(Configuration::One)
 }
 
-/// Live prediction-based controller: observes counter features on the
-/// sampling configuration and ranks the alternatives with an
-/// [`IpcPredictor`] at decision time.
+/// Live prediction-based controller: ranks the alternatives with an
+/// [`IpcPredictor`] over the counter features of each observed sampling
+/// window and enforces the choice through a [`DecisionTableController`].
 ///
 /// This is ACTOR's online loop with the model pluggable — the ANN ensembles
 /// ([`AnnController`]) and the multiple-linear-regression baseline share the
-/// exact same control path.
+/// exact same control path. The model runs once per feature-carrying
+/// observation: it stores [`select_configuration`] over the prediction (and
+/// the window's stall/compute split) in the inner table, and every decide
+/// is the table's.
 ///
 /// `decide` never panics: with no sample observed yet, or when the
-/// predictor rejects the observed features (e.g. a feature-dimension
-/// mismatch against the training event set), it falls back to the sampling
-/// configuration with a [`Rationale::Static`] label (`"unsampled"` /
-/// `"prediction-failed"`). Callers that require a genuine prediction should
-/// check the decision's rationale.
+/// predictor rejected the latest observed features (e.g. a
+/// feature-dimension mismatch against the training event set), it falls
+/// back to the sampling configuration with a [`Rationale::Static`] label
+/// (`"unsampled"` / `"prediction-failed"`). Callers that require a genuine
+/// prediction should check the decision's rationale.
 #[derive(Debug, Clone)]
 pub struct PredictorController<P: IpcPredictor> {
     predictor: P,
     name: &'static str,
-    samples: HashMap<PhaseId, PhaseSample>,
+    /// Per observed phase: whether its latest sampling window predicted.
+    predicted: PhaseMap<bool>,
+    /// The selection made from each phase's latest prediction.
+    table: DecisionTableController,
 }
 
 /// The paper's controller: ANN-ensemble prediction over sampled event rates.
@@ -789,7 +794,12 @@ pub type AnnController = PredictorController<AnnPredictor>;
 impl<P: IpcPredictor> PredictorController<P> {
     /// Wraps a trained predictor.
     pub fn new(predictor: P, name: &'static str) -> Self {
-        Self { predictor, name, samples: HashMap::new() }
+        Self {
+            predictor,
+            name,
+            predicted: PhaseMap::default(),
+            table: DecisionTableController::default(),
+        }
     }
 
     /// The wrapped predictor.
@@ -813,72 +823,29 @@ impl<P: IpcPredictor> PowerPerfController for PredictorController<P> {
     fn observe(&mut self, phase: PhaseId, sample: &PhaseSample) {
         // Only sampling-configuration observations carry the features the
         // model was trained on; plain measurements are ignored.
-        if sample.config == Configuration::SAMPLE && !sample.features.is_empty() {
-            self.samples.insert(phase, sample.clone());
+        if sample.config != Configuration::SAMPLE || sample.features.is_empty() {
+            return;
         }
+        let predicted = match self.predictor.predict(&sample.features) {
+            Ok(predictions) => {
+                let decision = select_configuration(sample.ipc, &predictions);
+                self.table.set(phase, decision, sample.stall_fraction);
+                true
+            }
+            Err(_) => false,
+        };
+        self.predicted.insert(phase, predicted);
     }
 
     fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let Some(sample) = self.samples.get(&ctx.phase) else {
+        let label = match self.predicted.get(&ctx.phase) {
+            Some(true) => return self.table.decide(ctx),
+            Some(false) => "prediction-failed",
             // Nothing observed yet: run the sampling configuration so the
             // next observation can feed the model.
-            return Decision::from_config(
-                Configuration::SAMPLE,
-                ctx.shape,
-                Rationale::Static { label: "unsampled" },
-            );
+            None => "unsampled",
         };
-        let Ok(predictions) = self.predictor.predict(&sample.features) else {
-            return Decision::from_config(
-                Configuration::SAMPLE,
-                ctx.shape,
-                Rationale::Static { label: "prediction-failed" },
-            );
-        };
-        let ipc_of = |config: Configuration| {
-            if config == Configuration::SAMPLE {
-                sample.ipc
-            } else {
-                predictions
-                    .iter()
-                    .find(|(c, _)| *c == config)
-                    .map(|(_, ipc)| *ipc)
-                    .unwrap_or(sample.ipc)
-            }
-        };
-        if let Some(space) = ctx.dvfs {
-            // The joint (threads × frequency) space: extrapolate each
-            // configuration's predicted IPC along the ladder via the phase's
-            // stall/compute split and take the best admissible cell.
-            return match best_joint_by_throughput(
-                ctx.candidates,
-                &space,
-                ctx.power_cap_w,
-                sample.stall_fraction,
-                ipc_of,
-            ) {
-                Some((config, step, expected_ipc)) => {
-                    Decision::joint(config, step, ctx.shape, Rationale::Predicted { expected_ipc })
-                }
-                None => infeasible_decision(ctx),
-            };
-        }
-        if ctx.power_cap_w.is_none() {
-            // The paper's unconstrained selection rule, bit-for-bit.
-            let chosen = select_configuration(sample.ipc, &predictions);
-            let expected_ipc = chosen.chosen_ipc();
-            return Decision::from_config(
-                chosen.chosen,
-                ctx.shape,
-                Rationale::Predicted { expected_ipc },
-            );
-        }
-        match best_admissible_by_ipc(ctx, ipc_of) {
-            Some((config, expected_ipc)) => {
-                Decision::from_config(config, ctx.shape, Rationale::Predicted { expected_ipc })
-            }
-            None => infeasible_decision(ctx),
-        }
+        Decision::from_config(Configuration::SAMPLE, ctx.shape, Rationale::Static { label })
     }
 }
 
@@ -913,6 +880,15 @@ impl DecisionTableController {
             stall: PhaseMap::default(),
             interned: PhaseMap::default(),
         }
+    }
+
+    /// Replaces `phase`'s decision and stall split. The phase's interned
+    /// joint table goes with them: it was ranked with the old predictions,
+    /// which `InternedEntry::matches` does not compare.
+    fn set(&mut self, phase: PhaseId, decision: ThrottleDecision, stall_fraction: f64) {
+        self.table.insert(phase, decision);
+        self.stall.insert(phase, stall_fraction);
+        self.interned.remove(&phase);
     }
 }
 
@@ -1136,88 +1112,16 @@ impl PowerPerfController for StaticController {
     }
 }
 
-/// Model-free controller: the online empirical search of the authors'
-/// earlier work \[17\]. Each phase measures every candidate once and then
-/// locks the fastest.
-///
-/// The controller tracks coverage *by configuration*: duplicate
-/// measurements of a candidate — common in generic harnesses that replay
-/// the sampling window alongside decided configurations — are dropped (the
-/// first measurement wins) rather than consuming another exploration slot,
-/// so the search never locks before every candidate has actually been
-/// measured.
-#[derive(Debug, Clone)]
-pub struct EmpiricalSearchController {
-    candidates: Vec<Configuration>,
-    /// First measured time per (phase, candidate).
-    measured: HashMap<PhaseId, Vec<(Configuration, f64)>>,
-}
-
-impl Default for EmpiricalSearchController {
-    fn default() -> Self {
-        Self::new(Configuration::ALL.to_vec())
-    }
-}
-
-impl EmpiricalSearchController {
-    /// Searches over the given candidates, in exploration order.
-    pub fn new(candidates: Vec<Configuration>) -> Self {
-        Self { candidates, measured: HashMap::new() }
-    }
-}
-
-impl PowerPerfController for EmpiricalSearchController {
-    fn name(&self) -> &'static str {
-        "empirical-search"
-    }
-
-    fn observe(&mut self, phase: PhaseId, sample: &PhaseSample) {
-        if !self.candidates.contains(&sample.config) {
-            return;
-        }
-        let measured = self.measured.entry(phase).or_default();
-        if measured.iter().all(|(c, _)| *c != sample.config) {
-            measured.push((sample.config, sample.time_s));
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let total = self.candidates.len();
-        let measured = self.measured.get(&ctx.phase).map(Vec::as_slice).unwrap_or(&[]);
-        // Still exploring: run the first candidate without a measurement.
-        if let Some(next) =
-            self.candidates.iter().find(|c| measured.iter().all(|(m, _)| *m != **c)).copied()
-        {
-            return Decision::from_config(
-                next,
-                ctx.shape,
-                Rationale::Exploring { tried: measured.len(), total },
-            );
-        }
-        // Every candidate measured: lock the fastest (ties keep the
-        // earlier-measured candidate).
-        match measured.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
-            Some(&(config, time_s)) => {
-                Decision::from_config(config, ctx.shape, Rationale::Measured { time_s })
-            }
-            None => Decision::from_config(
-                Configuration::SAMPLE,
-                ctx.shape,
-                Rationale::Static { label: "no-candidates" },
-            ),
-        }
-    }
-}
-
-/// Model-free exploration of the *joint* (configuration × frequency) space:
-/// the DVFS+DCT generalisation of [`EmpiricalSearchController`]. Each phase
-/// measures every admissible cell once (coverage tracked per cell; duplicate
-/// observations are dropped — first measurement wins — rather than
-/// consuming exploration slots) and then locks the fastest measured cell.
+/// Model-free exploration of the *joint* (configuration × frequency) space.
+/// Each phase measures every admissible cell once (coverage tracked per
+/// cell; duplicate observations are dropped — first measurement wins —
+/// rather than consuming exploration slots) and then locks the fastest
+/// measured cell.
 ///
 /// The ladder depth comes from the decision context: with no
-/// [`DvfsSpace`] offered the search degenerates to the nominal-only
-/// candidate list, exactly like the concurrency-only search. Cells whose
+/// [`DvfsSpace`] offered the search runs over the nominal-only candidate
+/// list, which is the online empirical search of the authors' earlier work
+/// \[17\] (try every configuration once, lock the fastest). Cells whose
 /// known power exceeds the context's cap are excluded from both exploration
 /// and locking; if no cell is admissible the decision is
 /// [`Rationale::Infeasible`].
@@ -1423,6 +1327,56 @@ mod tests {
         assert_eq!(d.configuration(&shape), Some(Configuration::Four));
     }
 
+    /// A predictor that counts its `predict` calls.
+    #[derive(Debug, Clone)]
+    struct CountingPredictor {
+        calls: std::rc::Rc<std::cell::Cell<usize>>,
+        events: hwcounters::EventSet,
+    }
+
+    impl IpcPredictor for CountingPredictor {
+        fn predict(
+            &self,
+            _features: &[f64],
+        ) -> Result<Vec<(Configuration, f64)>, crate::ActorError> {
+            self.calls.set(self.calls.get() + 1);
+            Ok(Configuration::TARGETS.iter().map(|&c| (c, c.num_threads() as f64)).collect())
+        }
+
+        fn event_set(&self) -> &hwcounters::EventSet {
+            &self.events
+        }
+    }
+
+    #[test]
+    fn predictor_controller_predicts_once_per_sampling_window() {
+        let shape = quad();
+        let phase = PhaseId::new(2);
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let predictor =
+            CountingPredictor { calls: calls.clone(), events: hwcounters::EventSet::reduced() };
+        let mut c = PredictorController::new(predictor, "counting");
+        let candidates = CandidatePerf::all_unknown();
+        let ctx = DecisionCtx::unconstrained(phase, &shape, &candidates);
+        c.decide(&ctx);
+        assert_eq!(calls.get(), 0, "nothing observed, nothing predicted");
+
+        c.observe(phase, &PhaseSample::sampling(vec![1.0, 0.5], 2.0, 1.0));
+        assert_eq!(calls.get(), 1, "one feature-carrying window, one prediction");
+        for _ in 0..5 {
+            let d = c.decide(&ctx);
+            assert!(matches!(d.rationale, Rationale::Predicted { .. }));
+        }
+        // Measurements carry no features and leave the prediction alone.
+        c.observe(phase, &PhaseSample::measurement(Configuration::One, 1.0));
+        c.decide(&ctx);
+        assert_eq!(calls.get(), 1, "deciding reuses the stored prediction");
+
+        c.observe(phase, &PhaseSample::sampling(vec![1.0, 0.7], 2.0, 1.0));
+        c.decide(&ctx);
+        assert_eq!(calls.get(), 2, "a new window predicts again");
+    }
+
     #[test]
     fn oracle_controller_matches_the_free_standing_oracle() {
         let machine = Machine::xeon_qx6600();
@@ -1437,29 +1391,6 @@ mod tests {
             assert_eq!(d.configuration(&shape), Some(*want), "phase {i}");
             assert!(matches!(d.rationale, Rationale::Oracle { .. }));
         }
-    }
-
-    #[test]
-    fn empirical_search_controller_explores_then_locks() {
-        let shape = quad();
-        let phase = PhaseId::new(0);
-        let candidates = CandidatePerf::all_unknown();
-        let mut c = EmpiricalSearchController::default();
-        // Time per configuration: TwoLoose is fastest.
-        let times = [10.0, 8.0, 4.0, 6.0, 7.0];
-        for (i, (&config, time)) in Configuration::ALL.iter().zip(times).enumerate() {
-            let ctx = DecisionCtx::unconstrained(phase, &shape, &candidates);
-            let d = c.decide(&ctx);
-            assert_eq!(d.configuration(&shape), Some(config), "step {i} explores in order");
-            assert!(matches!(d.rationale, Rationale::Exploring { .. }));
-            c.observe(phase, &PhaseSample::measurement(config, time));
-        }
-        let d = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
-        assert_eq!(d.configuration(&shape), Some(Configuration::TwoLoose));
-        assert!(matches!(d.rationale, Rationale::Measured { .. }));
-        // Deciding repeatedly does not advance the search.
-        let again = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
-        assert_eq!(again, d);
     }
 
     #[test]
@@ -1742,17 +1673,23 @@ mod tests {
         let phase = PhaseId::new(0);
         let candidates = CandidatePerf::all_unknown();
         let mut c = JointSearchController::default();
+        // Time per configuration: TwoLoose is fastest.
         let times = [10.0, 8.0, 4.0, 6.0, 7.0];
-        for (&config, time) in Configuration::ALL.iter().zip(times) {
+        for (i, (&config, time)) in Configuration::ALL.iter().zip(times).enumerate() {
             let ctx = DecisionCtx::unconstrained(phase, &shape, &candidates);
             let d = c.decide(&ctx);
-            assert_eq!(d.configuration(&shape), Some(config));
+            assert_eq!(d.configuration(&shape), Some(config), "step {i} explores in order");
             assert!(d.freq_step.is_nominal(), "no ladder ⇒ nominal-only exploration");
+            assert!(matches!(d.rationale, Rationale::Exploring { .. }));
             c.observe(phase, &PhaseSample::measurement(config, time));
         }
         let d = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
         assert_eq!(d.configuration(&shape), Some(Configuration::TwoLoose));
         assert!(d.freq_step.is_nominal());
+        assert!(matches!(d.rationale, Rationale::Measured { .. }));
+        // Deciding repeatedly does not advance the search.
+        let again = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
+        assert_eq!(again, d);
     }
 
     #[test]
@@ -1929,14 +1866,14 @@ mod tests {
     }
 
     #[test]
-    fn empirical_search_tracks_coverage_by_configuration_not_by_count() {
+    fn joint_search_tracks_coverage_by_cell_not_by_count() {
         // Generic harnesses replay the sampling window (config 4) alongside
         // decided configurations; duplicates must not consume exploration
         // slots or let the search lock before every candidate is measured.
         let shape = quad();
         let phase = PhaseId::new(1);
         let candidates = CandidatePerf::all_unknown();
-        let mut c = EmpiricalSearchController::default();
+        let mut c = JointSearchController::default();
         for _ in 0..10 {
             c.observe(phase, &PhaseSample::measurement(Configuration::Four, 7.0));
         }

@@ -28,21 +28,22 @@
 //!    prediction-error CDF (Figure 6), rank-selection accuracy (Figure 7) and
 //!    the adaptation comparison against oracle strategies (Figure 8).
 //!
-//! Baselines from the paper's related work — multiple linear regression \[3\]
-//! and online empirical search \[17\] — are provided in [`baselines`], and a
-//! live [`phase_rt::RegionListener`] implementation for running ACTOR against
+//! Baselines from the paper's related work are multiple linear regression
+//! \[3\] ([`baselines`]) and online empirical search \[17\], which is
+//! [`controller::JointSearchController`] without a frequency ladder. A live
+//! [`phase_rt::RegionListener`] implementation for running ACTOR against
 //! real kernels is in [`runtime`].
 //!
 //! All of these decision-makers speak one language: the
 //! [`controller::PowerPerfController`] trait (observe hardware samples per
 //! phase, decide a typed binding + frequency actuation). The ANN predictor,
-//! the oracles, the static baselines and empirical search implement it, the
+//! the oracles, the static baselines and the joint search implement it, the
 //! [`conformance`] harness checks any implementation against the shared
 //! contract, and every consumer — the Figure-8 harness, the live runtime
-//! ([`runtime::ThrottleMode::Controller`] with online counter sampling) and
-//! the cluster scheduler — drives any implementation through one shared
-//! cycle, the [`control_plane::ControlPlane`] (observe-once bookkeeping,
-//! context assembly, loud decision validation).
+//! ([`runtime::ActorRuntime`]'s controller loop with online counter
+//! sampling) and the cluster scheduler — drives any implementation through
+//! one shared cycle, the [`control_plane::ControlPlane`] (observe-once
+//! bookkeeping, context assembly, loud decision validation).
 
 pub mod accuracy;
 pub mod adaptation;
@@ -76,9 +77,9 @@ pub use control_plane::{ControlPlane, ControlViolation, PlaneDecision};
 pub use controller::{
     binding_for, configuration_of, frequency_scaled_ipc, frequency_throughput_scale, shape_of,
     validate_decision, validate_decision_with, AnnController, CandidatePerf, ConfigurationMap,
-    Decision, DecisionCtx, DecisionTableController, DvfsSpace, EmpiricalSearchController,
-    InternedJointPolicy, JointPerf, JointSearchController, OracleController, PhaseSample,
-    PowerPerfController, PredictorController, Rationale, StaticController,
+    Decision, DecisionCtx, DecisionTableController, DvfsSpace, InternedJointPolicy, JointPerf,
+    JointSearchController, OracleController, PhaseSample, PowerPerfController, PredictorController,
+    Rationale, StaticController,
 };
 pub use corpus::{TrainingCorpus, TrainingSample};
 pub use error::ActorError;
@@ -88,7 +89,7 @@ pub use evaluation::{
 pub use oracle::{global_optimal, phase_optimal};
 pub use predictor::{AnnPredictor, IpcPredictor};
 pub use report::{NullReporter, Reporter, StdoutReporter, StreamingReporter, Table};
-pub use runtime::{ActorRuntime, BackendSampler, CounterSampler, CounterWindow, ThrottleMode};
+pub use runtime::{ActorRuntime, BackendSampler, CounterSampler, CounterWindow};
 pub use sampling::{sample_phase, SamplingPlan};
 pub use scalability::{phase_ipc_study, scalability_report, PhaseIpcRow, ScalabilityReport};
 pub use summary::{paper_comparison, HeadlineNumbers};
@@ -112,7 +113,7 @@ pub mod prelude {
     pub use crate::error::ActorError;
     pub use crate::predictor::{AnnPredictor, IpcPredictor};
     pub use crate::report::{Reporter, Table};
-    pub use crate::runtime::{ActorRuntime, ThrottleMode};
+    pub use crate::runtime::ActorRuntime;
     pub use crate::scalability::scalability_report;
     pub use crate::summary::paper_comparison;
     pub use crate::telemetry::{

@@ -1,27 +1,19 @@
-//! Live ACTOR runtime: a [`phase_rt::RegionListener`] that throttles real
-//! parallel regions.
+//! Live ACTOR runtime: a [`phase_rt::RegionListener`] that runs the closed
+//! controller loop on real parallel regions (phases that are real code on
+//! real threads rather than machine-model profiles).
 //!
-//! Two throttling modes are provided for the live path (where phases are
-//! real code running on real threads rather than machine-model profiles):
-//!
-//! * [`ThrottleMode::Fixed`] — apply a pre-computed plan (e.g. decisions
-//!   produced by the ANN predictor offline) to the phases of a live program.
-//! * [`ThrottleMode::Controller`] — the closed loop: any
-//!   [`PowerPerfController`] sits behind the shared
-//!   [`crate::control_plane::ControlPlane`] and is driven online. Every
-//!   region execution is observed (wall-clock measurement, plus
-//!   counter-derived feature windows when a [`CounterSampler`] is attached),
-//!   and every upcoming execution asks the controller for its binding — the
-//!   ANN predictor, the decision table, empirical/joint search, or any
-//!   custom controller drives live `phase-rt` kernels end to end through
-//!   the exact same decision cycle the adaptation harness and the cluster
-//!   scheduler use. The online empirical search of the authors' earlier
-//!   work \[17\] (try every configuration once, lock the fastest) is
-//!   [`crate::EmpiricalSearchController`] in this mode.
-//!
-//! The `Fixed` mode predates the controller trait and is kept bit-for-bit:
-//! it is a degenerate decision table, but its plan lives in this listener so
-//! existing plans stay byte-identical.
+//! Any [`PowerPerfController`] sits behind the shared
+//! [`crate::control_plane::ControlPlane`] and is driven online. Every region
+//! execution is observed (wall-clock measurement, plus counter-derived
+//! feature windows when a [`CounterSampler`] is attached), and every
+//! upcoming execution asks the controller for its binding — the ANN
+//! predictor, the decision table, the joint search, or any custom
+//! controller drives live `phase-rt` kernels end to end through the exact
+//! same decision cycle the adaptation harness and the cluster scheduler
+//! use. The loop offers no frequency ladder, so
+//! [`crate::JointSearchController`] here is the online empirical search of
+//! the authors' earlier work \[17\]: try every configuration once, lock
+//! the fastest.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,38 +21,11 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use hwcounters::{CounterBackend, EventRates, EventSet};
-use phase_rt::{Binding, PhaseId, RegionEvent, RegionListener};
+use phase_rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener};
 use xeon_sim::{Configuration, HwEvent};
 
 use crate::control_plane::ControlPlane;
 use crate::controller::{configuration_of, CandidatePerf, PhaseSample, PowerPerfController};
-
-/// How the live runtime decides per-phase bindings.
-///
-/// Marked `#[non_exhaustive]`: match with a wildcard arm downstream.
-#[non_exhaustive]
-pub enum ThrottleMode {
-    /// Apply a fixed phase → binding plan; phases not in the plan run with
-    /// whatever the application requested.
-    Fixed {
-        /// The plan.
-        plan: HashMap<PhaseId, Binding>,
-    },
-    /// Ask a [`PowerPerfController`] before every execution, observing every
-    /// completed execution — the live closed loop. The controller actuates
-    /// on the host machine's shape ([`phase_rt::MachineShape::host`]); use
-    /// [`ActorRuntime::controller_driven`] to pick the shape explicitly.
-    Controller(Box<dyn PowerPerfController + Send>),
-}
-
-impl fmt::Debug for ThrottleMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThrottleMode::Fixed { plan } => f.debug_struct("Fixed").field("plan", plan).finish(),
-            ThrottleMode::Controller(c) => f.debug_tuple("Controller").field(&c.name()).finish(),
-        }
-    }
-}
 
 /// One live counter window, as a [`CounterSampler`] reports it: the
 /// Equation-2 feature vector plus the IPC observed over one region
@@ -138,7 +103,7 @@ impl<B: CounterBackend + Send> CounterSampler for BackendSampler<B> {
     }
 }
 
-/// The live controller loop's state (the `Controller` mode).
+/// The live controller loop's state.
 struct LiveLoop {
     plane: ControlPlane<Box<dyn PowerPerfController + Send>>,
     candidates: Vec<CandidatePerf>,
@@ -158,99 +123,62 @@ impl fmt::Debug for LiveLoop {
     }
 }
 
-#[derive(Debug)]
-enum Mode {
-    Fixed { plan: HashMap<PhaseId, Binding> },
-    Controller(Box<Mutex<LiveLoop>>),
-}
-
-/// The live ACTOR runtime.
+/// The live ACTOR runtime: every region execution is observed, every
+/// upcoming execution asks the controller for its binding through the
+/// shared control plane.
 #[derive(Debug)]
 pub struct ActorRuntime {
-    mode: Mode,
+    live: Mutex<LiveLoop>,
 }
 
 impl ActorRuntime {
-    /// Creates a runtime in the given mode. A [`ThrottleMode::Controller`]
-    /// actuates on the host machine's shape; use
-    /// [`ActorRuntime::controller_driven`] to choose the shape.
-    pub fn new(mode: ThrottleMode) -> Self {
-        match mode {
-            ThrottleMode::Fixed { plan } => Self { mode: Mode::Fixed { plan } },
-            ThrottleMode::Controller(controller) => {
-                Self::controller_driven(controller, &phase_rt::MachineShape::host())
-            }
-        }
-    }
-
-    /// Creates a live controller loop actuating on `shape`: every region
-    /// execution is observed, every upcoming execution asks `controller`
-    /// for its binding through the shared control plane.
-    pub fn controller_driven(
-        controller: Box<dyn PowerPerfController + Send>,
-        shape: &phase_rt::MachineShape,
-    ) -> Self {
+    /// Creates a live controller loop around `controller`, actuating on
+    /// `shape` ([`MachineShape::host`] for the machine running the loop).
+    pub fn new(controller: Box<dyn PowerPerfController + Send>, shape: &MachineShape) -> Self {
         Self {
-            mode: Mode::Controller(Box::new(Mutex::new(LiveLoop {
+            live: Mutex::new(LiveLoop {
                 plane: ControlPlane::new(controller, *shape),
                 candidates: CandidatePerf::all_unknown(),
                 power_cap_w: None,
                 sampler: None,
                 decisions: HashMap::new(),
-            }))),
+            }),
         }
     }
 
-    /// Sets the average-power cap offered to a controller-driven runtime
-    /// (no-op in the other modes, which cannot interpret one).
-    pub fn with_power_cap(self, power_cap_w: f64) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().power_cap_w = Some(power_cap_w);
-        }
+    /// Sets the average-power cap offered to the controller.
+    pub fn with_power_cap(mut self, power_cap_w: f64) -> Self {
+        self.live.get_mut().power_cap_w = Some(power_cap_w);
         self
     }
 
-    /// Attaches a telemetry sink to a controller-driven runtime (no-op in
-    /// the other modes): every validated live decision then emits one
-    /// [`crate::telemetry::TraceEvent::Decision`] through the shared
+    /// Attaches a telemetry sink: every validated live decision then emits
+    /// one [`crate::telemetry::TraceEvent::Decision`] through the shared
     /// control plane.
     #[must_use]
-    pub fn with_telemetry(self, sink: crate::telemetry::SharedSink) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().plane.set_telemetry(Some(sink));
-        }
+    pub fn with_telemetry(mut self, sink: crate::telemetry::SharedSink) -> Self {
+        self.live.get_mut().plane.set_telemetry(Some(sink));
         self
     }
 
-    /// Attaches an online counter sampler to a controller-driven runtime
-    /// (no-op in the other modes): completed sampling-configuration
+    /// Attaches an online counter sampler: completed sampling-configuration
     /// executions then feed full feature windows to the controller instead
     /// of plain wall-clock measurements.
-    pub fn with_counter_sampler(self, sampler: Box<dyn CounterSampler>) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().sampler = Some(sampler);
-        }
+    pub fn with_counter_sampler(mut self, sampler: Box<dyn CounterSampler>) -> Self {
+        self.live.get_mut().sampler = Some(sampler);
         self
     }
 
-    /// The decision currently in force for a phase: the planned binding
-    /// (fixed mode) or the most recent validated controller decision
-    /// (controller mode; `None` before the phase first executed).
+    /// The most recent validated decision for a phase (`None` before the
+    /// phase first executed).
     pub fn decision_for(&self, phase: PhaseId) -> Option<Binding> {
-        match &self.mode {
-            Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Controller(live) => live.lock().decisions.get(&phase).cloned(),
-        }
+        self.live.lock().decisions.get(&phase).cloned()
     }
 
     /// All decisions currently in force, sorted by phase.
     pub fn decisions(&self) -> Vec<(PhaseId, Binding)> {
-        let mut out: Vec<(PhaseId, Binding)> = match &self.mode {
-            Mode::Fixed { plan } => plan.iter().map(|(p, b)| (*p, b.clone())).collect(),
-            Mode::Controller(live) => {
-                live.lock().decisions.iter().map(|(p, b)| (*p, b.clone())).collect()
-            }
-        };
+        let mut out: Vec<(PhaseId, Binding)> =
+            self.live.lock().decisions.iter().map(|(p, b)| (*p, b.clone())).collect();
         out.sort_by_key(|(p, _)| *p);
         out
     }
@@ -263,81 +191,56 @@ impl RegionListener for ActorRuntime {
         _requested: &Binding,
         instance: u64,
     ) -> Option<Binding> {
-        match &self.mode {
-            Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Controller(live) => {
-                let live = &mut *live.lock();
-                if let Some(sampler) = live.sampler.as_mut() {
-                    sampler.begin(phase, instance);
-                }
-                // A controller contract violation in the live path is a
-                // defective controller, not a runnable binding — fail loudly
-                // (the same convention as the cluster policies).
-                let pd = live
-                    .plane
-                    .decide(phase, &live.candidates, None, live.power_cap_w)
-                    .unwrap_or_else(|v| panic!("live control plane: {v}"));
-                live.decisions.insert(phase, pd.decision.binding.clone());
-                Some(pd.decision.binding)
-            }
+        let live = &mut *self.live.lock();
+        if let Some(sampler) = live.sampler.as_mut() {
+            sampler.begin(phase, instance);
         }
+        // A controller contract violation in the live path is a defective
+        // controller, not a runnable binding — fail loudly (the same
+        // convention as the cluster policies).
+        let pd = live
+            .plane
+            .decide(phase, &live.candidates, None, live.power_cap_w)
+            .unwrap_or_else(|v| panic!("live control plane: {v}"));
+        live.decisions.insert(phase, pd.decision.binding.clone());
+        Some(pd.decision.binding)
     }
 
     fn after_region(&self, event: &RegionEvent) {
-        match &self.mode {
-            Mode::Fixed { .. } => {}
-            Mode::Controller(live) => {
-                let live = &mut *live.lock();
-                // A binding outside the paper's five configurations (the
-                // application requested something exotic and no override was
-                // possible) carries no observable the controllers understand.
-                let Some(config) = configuration_of(&event.binding, live.plane.shape()) else {
-                    return;
-                };
-                let time_s = event.duration.as_secs_f64();
-                let window = live.sampler.as_mut().and_then(|s| s.sample(event));
-                let sample = match window {
-                    // Counter features are only meaningful on the sampling
-                    // configuration — the protocol the predictors were
-                    // trained on.
-                    Some(w) if config == Configuration::SAMPLE => {
-                        let sample = PhaseSample::sampling(w.features, w.ipc, time_s);
-                        match w.stall_fraction {
-                            Some(mu) => sample.with_stall_fraction(mu),
-                            None => sample,
-                        }
-                    }
-                    _ => PhaseSample::measurement(config, time_s),
-                };
-                live.plane.observe(event.phase, &sample);
+        let live = &mut *self.live.lock();
+        // A binding outside the paper's five configurations (the application
+        // requested something exotic and no override was possible) carries
+        // no observable the controllers understand.
+        let Some(config) = configuration_of(&event.binding, live.plane.shape()) else {
+            return;
+        };
+        let time_s = event.duration.as_secs_f64();
+        let window = live.sampler.as_mut().and_then(|s| s.sample(event));
+        let sample = match window {
+            // Counter features are only meaningful on the sampling
+            // configuration — the protocol the predictors were trained on.
+            Some(w) if config == Configuration::SAMPLE => {
+                let sample = PhaseSample::sampling(w.features, w.ipc, time_s);
+                match w.stall_fraction {
+                    Some(mu) => sample.with_stall_fraction(mu),
+                    None => sample,
+                }
             }
-        }
+            _ => PhaseSample::measurement(config, time_s),
+        };
+        live.plane.observe(event.phase, &sample);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{EmpiricalSearchController, StaticController};
+    use crate::controller::{JointSearchController, StaticController};
     use crate::throttle::select_configuration;
     use crate::DecisionTableController;
-    use phase_rt::{MachineShape, Team};
+    use phase_rt::Team;
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn fixed_mode_applies_the_plan() {
-        let shape = MachineShape::quad_core();
-        let mut plan = HashMap::new();
-        plan.insert(PhaseId::new(1), Binding::packed(1, &shape));
-        let runtime = ActorRuntime::new(ThrottleMode::Fixed { plan });
-        let requested = Binding::packed(4, &shape);
-        let throttled = runtime.before_region(PhaseId::new(1), &requested, 0).unwrap();
-        assert_eq!(throttled.num_threads(), 1);
-        assert!(runtime.before_region(PhaseId::new(2), &requested, 0).is_none());
-        assert_eq!(runtime.decisions().len(), 1);
-        assert_eq!(runtime.decision_for(PhaseId::new(1)).unwrap().num_threads(), 1);
-    }
 
     /// Drives one phase through a scripted sequence of region executions.
     fn drive(runtime: &ActorRuntime, phase: PhaseId, shape: &MachineShape, times_ms: &[u64]) {
@@ -367,10 +270,8 @@ mod tests {
                 (Configuration::Three, 1.2),
             ],
         );
-        let runtime = ActorRuntime::controller_driven(
-            Box::new(DecisionTableController::new([(phase, decision)])),
-            &shape,
-        );
+        let runtime =
+            ActorRuntime::new(Box::new(DecisionTableController::new([(phase, decision)])), &shape);
         drive(&runtime, phase, &shape, &[10, 10, 10]);
         let binding = runtime.decision_for(phase).unwrap();
         assert_eq!(binding.num_threads(), 2, "the table's 2b decision is enforced live");
@@ -378,11 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn controller_mode_closes_the_loop_with_empirical_search() {
+    fn controller_mode_closes_the_loop_with_joint_search() {
         let shape = MachineShape::quad_core();
         let phase = PhaseId::new(3);
-        let runtime =
-            ActorRuntime::controller_driven(Box::new(EmpiricalSearchController::default()), &shape);
+        let runtime = ActorRuntime::new(Box::new(JointSearchController::default()), &shape);
         // Five explorations (TwoLoose fastest), then the lock-in.
         drive(&runtime, phase, &shape, &[50, 40, 10, 30, 20, 25, 25]);
         let binding = runtime.decision_for(phase).unwrap();
@@ -397,10 +297,8 @@ mod tests {
     fn controller_mode_drives_a_live_team() {
         let team = Team::new(4).unwrap();
         let shape = *team.shape();
-        let runtime = Arc::new(ActorRuntime::controller_driven(
-            Box::new(EmpiricalSearchController::default()),
-            &shape,
-        ));
+        let runtime =
+            Arc::new(ActorRuntime::new(Box::new(JointSearchController::default()), &shape));
         team.set_listener(runtime.clone());
         let phase = PhaseId::new(11);
         let requested = Binding::packed(4, &shape);
@@ -452,21 +350,20 @@ mod tests {
         // The static controller ignores the features, but the loop must
         // still deliver them without panicking.
         let shape = MachineShape::quad_core();
-        let runtime =
-            ActorRuntime::controller_driven(Box::new(StaticController::os_default()), &shape)
-                .with_counter_sampler(Box::new(BackendSampler::new(
-                    SimBackend::new(),
-                    EventSet::reduced(),
-                )));
+        let runtime = ActorRuntime::new(Box::new(StaticController::os_default()), &shape)
+            .with_counter_sampler(Box::new(BackendSampler::new(
+                SimBackend::new(),
+                EventSet::reduced(),
+            )));
         drive(&runtime, PhaseId::new(9), &shape, &[5, 5]);
         assert_eq!(runtime.decision_for(PhaseId::new(9)).unwrap().num_threads(), 4);
     }
 
     #[test]
-    fn throttle_mode_debug_names_the_controller() {
-        let mode = ThrottleMode::Controller(Box::new(StaticController::os_default()));
-        assert!(format!("{mode:?}").contains("os-default"));
-        let runtime = ActorRuntime::new(mode);
+    fn runtime_debug_names_the_controller() {
+        let runtime =
+            ActorRuntime::new(Box::new(StaticController::os_default()), &MachineShape::host());
+        assert!(format!("{runtime:?}").contains("os-default"));
         assert!(runtime.decisions().is_empty());
     }
 }

@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use actor_core::baselines::LinearRegressionPredictor;
 use actor_core::conformance::{assert_controller_conformance, ConformanceOptions};
 use actor_core::controller::{
-    AnnController, DecisionTableController, EmpiricalSearchController, JointSearchController,
-    OracleController, PowerPerfController, PredictorController, StaticController,
+    AnnController, DecisionTableController, JointSearchController, OracleController,
+    PowerPerfController, PredictorController, StaticController,
 };
 use actor_core::predictor::AnnPredictor;
 use actor_core::throttle::select_configuration;
@@ -77,14 +77,6 @@ fn static_baselines_conform() {
     );
     assert_controller_conformance(
         || Box::new(StaticController::new(Configuration::TwoLoose, "static-2b")),
-        &ConformanceOptions::default(),
-    );
-}
-
-#[test]
-fn empirical_search_controller_conforms() {
-    assert_controller_conformance(
-        || Box::new(EmpiricalSearchController::default()),
         &ConformanceOptions::default(),
     );
 }

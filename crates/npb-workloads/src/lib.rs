@@ -14,15 +14,11 @@
 //!   gradient, multigrid relaxation, bucket sort, FFT, a stencil line solver)
 //!   running on the [`phase_rt`] runtime, used by the examples and by live
 //!   end-to-end tests of the throttling path.
-//! * **Synthetic training workloads** ([`synth`]) — randomised phase profiles
-//!   spanning the behaviour space, used to enlarge the ANN training corpus.
 
 pub mod benchmark;
 pub mod kernels;
 pub mod profiles;
 pub mod suite;
-pub mod synth;
 
 pub use benchmark::{BenchmarkId, BenchmarkProfile};
 pub use suite::{benchmark, nas_suite};
-pub use synth::SyntheticWorkloads;

@@ -12,7 +12,6 @@
 //!   threads, with per-region thread-count control and instrumentation hooks;
 //! * [`schedule`] — OpenMP-style loop schedulers (static, dynamic, guided)
 //!   and `parallel_for`;
-//! * [`barrier`] — a sense-reversing spin barrier usable inside regions;
 //! * [`region`] — phase identifiers and the [`region::RegionListener`] hook
 //!   ACTOR implements to observe and throttle phases;
 //! * [`stats`] — per-phase execution statistics.
@@ -31,7 +30,6 @@
 //! ```
 
 pub mod affinity;
-pub mod barrier;
 pub mod error;
 pub mod region;
 pub mod schedule;
@@ -39,7 +37,6 @@ pub mod stats;
 pub mod team;
 
 pub use affinity::{Binding, FreqStep, MachineShape};
-pub use barrier::SpinBarrier;
 pub use error::RtError;
 pub use region::{PhaseId, RegionEvent, RegionListener};
 pub use schedule::{ChunkQueue, LoopSchedule};
@@ -49,7 +46,6 @@ pub use team::{RegionReport, Team, WorkerCtx};
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::affinity::{Binding, FreqStep, MachineShape};
-    pub use crate::barrier::SpinBarrier;
     pub use crate::error::RtError;
     pub use crate::region::{PhaseId, RegionEvent, RegionListener};
     pub use crate::schedule::{ChunkQueue, LoopSchedule};

@@ -60,7 +60,7 @@ pub use machine::Machine;
 pub use mrc::MissRatioCurve;
 pub use params::{FreqLadder, FreqPoint, MachineParams, PowerParams, MACHINE_GEN_NAMES};
 pub use phase::PhaseProfile;
-pub use power::{EnergyMeter, PowerBreakdown, PowerModel};
+pub use power::{PowerBreakdown, PowerModel};
 pub use topology::{Configuration, CoreId, Placement, Topology};
 pub use trace::{
     interleave as interleave_traces, AccessKind, MemoryAccess, TraceGenerator, TracePattern,

@@ -1,4 +1,4 @@
-//! Full-system power model and energy accounting.
+//! Full-system power model.
 //!
 //! The paper measures *whole-system* power with a Watts Up Pro meter:
 //! "Numbers reported here represent a full system power profile, including
@@ -121,74 +121,6 @@ impl PowerModel {
     }
 }
 
-/// Integrates (power, duration) samples into total energy, emulating the
-/// Watts Up Pro meter used in the paper's measurements.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergyMeter {
-    samples: Vec<(f64, f64)>, // (duration_s, power_w)
-}
-
-impl EnergyMeter {
-    /// New, empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an interval of `duration_s` seconds at `power_w` Watts.
-    /// Non-finite or negative samples are ignored (a real meter drops bad
-    /// readings rather than corrupting the total).
-    pub fn record(&mut self, duration_s: f64, power_w: f64) {
-        if duration_s.is_finite() && power_w.is_finite() && duration_s > 0.0 && power_w >= 0.0 {
-            self.samples.push((duration_s, power_w));
-        }
-    }
-
-    /// Total elapsed time covered by the recorded samples (s).
-    pub fn elapsed_s(&self) -> f64 {
-        self.samples.iter().map(|(d, _)| d).sum()
-    }
-
-    /// Total energy in Joules.
-    pub fn energy_j(&self) -> f64 {
-        self.samples.iter().map(|(d, p)| d * p).sum()
-    }
-
-    /// Time-weighted average power in Watts (0 if nothing was recorded).
-    pub fn average_power_w(&self) -> f64 {
-        let t = self.elapsed_s();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.energy_j() / t
-        }
-    }
-
-    /// Energy-delay product (J·s).
-    pub fn edp(&self) -> f64 {
-        self.energy_j() * self.elapsed_s()
-    }
-
-    /// Energy-delay-squared product (J·s²), the paper's headline HPC metric.
-    pub fn ed2(&self) -> f64 {
-        self.energy_j() * self.elapsed_s() * self.elapsed_s()
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether any samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Clears the meter.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,32 +205,5 @@ mod tests {
         let under = m.phase_power(1, 1.0, 1, -1.0, -1.0);
         assert_eq!(under.bus_w, 0.0);
         assert_eq!(under.dram_w, 0.0);
-    }
-
-    #[test]
-    fn meter_integrates_energy() {
-        let mut meter = EnergyMeter::new();
-        assert!(meter.is_empty());
-        meter.record(2.0, 100.0);
-        meter.record(1.0, 130.0);
-        assert_eq!(meter.len(), 2);
-        assert!((meter.energy_j() - 330.0).abs() < 1e-9);
-        assert!((meter.elapsed_s() - 3.0).abs() < 1e-9);
-        assert!((meter.average_power_w() - 110.0).abs() < 1e-9);
-        assert!((meter.edp() - 990.0).abs() < 1e-9);
-        assert!((meter.ed2() - 2970.0).abs() < 1e-9);
-        meter.reset();
-        assert!(meter.is_empty());
-        assert_eq!(meter.average_power_w(), 0.0);
-    }
-
-    #[test]
-    fn meter_ignores_invalid_samples() {
-        let mut meter = EnergyMeter::new();
-        meter.record(-1.0, 100.0);
-        meter.record(1.0, -5.0);
-        meter.record(f64::NAN, 100.0);
-        meter.record(1.0, f64::INFINITY);
-        assert!(meter.is_empty());
     }
 }

@@ -1,15 +1,14 @@
 //! Live adaptation demo: a real conjugate-gradient solver running on the
-//! `phase-rt` runtime, throttled by the ACTOR runtime's live controller loop
-//! (`ThrottleMode::Controller`): a [`PowerPerfController`] behind the shared
-//! control plane — the exact abstraction the Figure-8 harness and the
-//! cluster scheduler drive. It runs twice: first with the empirical search
-//! of the authors' earlier work (model-free, ideal when no trained model is
-//! available for the host machine), then with the joint search.
+//! `phase-rt` runtime, throttled by the ACTOR runtime's live controller loop:
+//! a [`PowerPerfController`] behind the shared control plane — the exact
+//! abstraction the Figure-8 harness and the cluster scheduler drive. Here it
+//! is the model-free joint search, which without a frequency ladder is the
+//! empirical search of the authors' earlier work (ideal when no trained
+//! model is available for the host machine).
 //!
-//! The empirical search explores every configuration once per phase,
-//! measures it, locks the fastest, and all later iterations of that phase
-//! use the locked binding — while the solver's numerical result stays
-//! bit-identical.
+//! The search explores every configuration once per phase, measures it,
+//! locks the fastest, and all later iterations of that phase use the locked
+//! binding — while the solver's numerical result stays bit-identical.
 //!
 //! ```bash
 //! cargo run --release --example adaptive_cg_live
@@ -18,9 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use actor_suite::actor::controller::{
-    EmpiricalSearchController, JointSearchController, PowerPerfController,
-};
+use actor_suite::actor::controller::{JointSearchController, PowerPerfController};
 use actor_suite::actor::runtime::ActorRuntime;
 use actor_suite::rt::{Binding, Team};
 use actor_suite::workloads::kernels::ConjugateGradient;
@@ -48,42 +45,20 @@ fn main() {
     }
 
     // Adaptive run: ACTOR's live runtime explores, then locks per-phase
-    // bindings.
-    let runtime = Arc::new(ActorRuntime::controller_driven(
-        Box::new(EmpiricalSearchController::default()),
-        &shape,
-    ));
-    team.set_listener(runtime.clone());
-    let start = Instant::now();
-    let result = solver.run(&team, &Binding::packed(4, &shape));
-    println!(
-        "\nadaptive (empirical search): {:>7.1?}  (residual {:.2e}, {} iterations)",
-        start.elapsed(),
-        result.residual_norm,
-        result.iterations
-    );
-
-    println!("\nlocked per-phase decisions:");
-    for (phase, binding) in runtime.decisions() {
-        println!("  {phase}: {} thread(s) on cores {:?}", binding.num_threads(), binding.cores());
-    }
-    team.clear_listener();
-
-    // Any PowerPerfController drives the same loop — here the model-free
-    // joint search.
+    // bindings. Any PowerPerfController drives the same loop.
     let controller: Box<dyn PowerPerfController + Send> =
         Box::new(JointSearchController::default());
-    let live = Arc::new(ActorRuntime::controller_driven(controller, &shape));
+    let live = Arc::new(ActorRuntime::new(controller, &shape));
     team.set_listener(live.clone());
     let start = Instant::now();
     let result = solver.run(&team, &Binding::packed(4, &shape));
     println!(
-        "\nadaptive (controller loop):  {:>7.1?}  (residual {:.2e}, {} iterations)",
+        "\nadaptive (controller loop): {:>7.1?}  (residual {:.2e}, {} iterations)",
         start.elapsed(),
         result.residual_norm,
         result.iterations
     );
-    println!("live controller decisions:");
+    println!("\nlocked per-phase decisions:");
     for (phase, binding) in live.decisions() {
         println!("  {phase}: {} thread(s) on cores {:?}", binding.num_threads(), binding.cores());
     }

@@ -355,13 +355,12 @@ impl Experiment {
         FleetModel::build(&self.config, &ids, mixes)
     }
 
-    /// Builds a live [`actor_core::ActorRuntime`] in
-    /// [`actor_core::ThrottleMode::Controller`] mode for one benchmark: the
-    /// configured [`ControllerSpec`] builds the controller from that
-    /// benchmark's cached leave-one-out evaluation, and the returned
-    /// listener drives real `phase-rt` regions through the shared control
-    /// plane — observing every execution, deciding every next one, under
-    /// the experiment's power budget when one is configured. Attach
+    /// Builds a live [`actor_core::ActorRuntime`] controller loop for one
+    /// benchmark: the configured [`ControllerSpec`] builds the controller
+    /// from that benchmark's cached leave-one-out evaluation, and the
+    /// returned listener drives real `phase-rt` regions through the shared
+    /// control plane — observing every execution, deciding every next one,
+    /// under the experiment's power budget when one is configured. Attach
     /// it with `team.set_listener`, optionally after
     /// [`actor_core::ActorRuntime::with_counter_sampler`] for online
     /// counter-derived features.
@@ -379,7 +378,7 @@ impl Experiment {
         let bench =
             self.suite.iter().find(|b| b.id == id).expect("evaluations cover the suite exactly");
         let controller = self.controller.build(&self.machine, bench, eval);
-        let mut runtime = actor_core::ActorRuntime::controller_driven(controller, shape);
+        let mut runtime = actor_core::ActorRuntime::new(controller, shape);
         // The facade's cap gates the live loop exactly like the adaptation
         // studies: the controller sees it in every DecisionCtx.
         if let Some(budget_w) = self.power_budget_w {

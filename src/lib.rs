@@ -9,7 +9,7 @@
 //! * [`counters`] (`hwcounters`) — hardware-event sets, register multiplexing
 //!   and event-rate feature vectors;
 //! * [`rt`] (`phase-rt`) — the fork-join phase runtime (teams, bindings,
-//!   schedulers, barriers, listeners);
+//!   schedulers, listeners);
 //! * [`ml`] (`annlib`) — feed-forward neural networks, backpropagation,
 //!   cross-validation ensembles;
 //! * [`workloads`] (`npb-workloads`) — NPB phase profiles and live kernels;
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use actor_core::controller::{
         binding_for, configuration_of, frequency_scaled_ipc, frequency_throughput_scale, shape_of,
         AnnController, CandidatePerf, Decision, DecisionCtx, DecisionTableController, DvfsSpace,
-        EmpiricalSearchController, JointPerf, JointSearchController, OracleController, PhaseSample,
-        PowerPerfController, PredictorController, Rationale, StaticController,
+        JointPerf, JointSearchController, OracleController, PhaseSample, PowerPerfController,
+        PredictorController, Rationale, StaticController,
     };
     pub use actor_core::report::{fmt3, fmt_pct};
     pub use actor_core::telemetry::{

@@ -4,30 +4,36 @@
 //!   byte-identically to the pre-refactor inline observe → decide loop
 //!   (for both `power-aware` and `power-aware-dvfs`, JSON included), on a
 //!   uniform and on a mixed-generation cluster;
-//! * the live `ThrottleMode::Controller` loop drives real `phase-rt`
+//! * the live predictor controller decides exactly like the decision table
+//!   built from its predictions;
+//! * the live `ActorRuntime` controller loop drives real `phase-rt`
 //!   kernels end to end (via the `ExperimentBuilder` facade) without
 //!   changing their numerics.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use actor_suite::actor::controller::{
-    validate_decision, CandidatePerf, DecisionCtx, DecisionTableController, DvfsSpace,
-    PowerPerfController,
+    shape_of, validate_decision, CandidatePerf, DecisionCtx, DecisionTableController, DvfsSpace,
+    JointPerf, PhaseSample, PowerPerfController, PredictorController,
 };
-use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
-use actor_suite::actor::{ActorConfig, NullReporter};
+use actor_suite::actor::{
+    sample_phase, select_configuration, ActorConfig, AnnPredictor, ControlPlane, IpcPredictor,
+    LinearRegressionPredictor, NullReporter, SamplingPlan, TrainingCorpus,
+};
 use actor_suite::cluster::{
     budget_for_mix, budget_from_fraction, policy_by_name_fleet, simulate_fleet, Assignment,
     ClusterSpec, ExecutionPlan, FaultSpec, FleetModel, Job, MachineMix, SchedContext,
     SchedulerPolicy, WorkloadModel, WorkloadSpec,
 };
 use actor_suite::prelude::{ControllerSpec, ExperimentBuilder};
-use actor_suite::rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener, Team};
-use actor_suite::sim::Machine;
+use actor_suite::rt::{Binding, FreqStep, MachineShape, PhaseId, Team};
+use actor_suite::sim::{Configuration, FreqLadder, Machine, PhaseProfile};
 use actor_suite::workloads::kernels::ConjugateGradient;
-use actor_suite::workloads::BenchmarkId;
+use actor_suite::workloads::{benchmark, BenchmarkId, BenchmarkProfile};
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
@@ -208,32 +214,167 @@ fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
     );
 }
 
-#[test]
-fn fixed_mode_behavior_is_pinned_across_the_refactor() {
-    let shape = MachineShape::quad_core();
-    let mut plan = std::collections::HashMap::new();
-    plan.insert(PhaseId::new(1), Binding::packed(1, &shape));
-    plan.insert(PhaseId::new(2), Binding::spread(2, &shape));
-    let runtime = ActorRuntime::new(ThrottleMode::Fixed { plan: plan.clone() });
-    let requested = Binding::packed(4, &shape);
-    for (phase, binding) in &plan {
-        assert_eq!(runtime.before_region(*phase, &requested, 0).as_ref(), Some(binding));
-        // after_region is a no-op in fixed mode; decisions never change.
-        runtime.after_region(&RegionEvent {
-            phase: *phase,
-            binding: binding.clone(),
-            duration: Duration::from_millis(1),
-            instance: 0,
-        });
-        assert_eq!(runtime.decision_for(*phase).as_ref(), Some(binding));
+/// Every cap worth probing on a joint menu: none, far below everything,
+/// and each distinct cell power exactly, just below, and halfway to the
+/// next one up.
+fn probe_caps(joint: &[JointPerf]) -> Vec<Option<f64>> {
+    let mut powers: Vec<f64> = joint.iter().filter_map(|c| c.avg_power_w).collect();
+    powers.sort_by(f64::total_cmp);
+    powers.dedup();
+    let mut caps = vec![None, Some(1.0)];
+    for (i, &w) in powers.iter().enumerate() {
+        caps.extend([Some(w), Some(w - 1e-9)]);
+        if let Some(&next) = powers.get(i + 1) {
+            caps.push(Some(0.5 * (w + next)));
+        }
     }
-    assert!(runtime.before_region(PhaseId::new(9), &requested, 0).is_none());
-    assert_eq!(runtime.decisions().len(), plan.len());
+    caps
+}
+
+/// One phase's decision menus priced by the machine model: the nominal
+/// candidates and the joint (configuration × step) cells with their own
+/// stall splits.
+fn phase_menus(machine: &Machine, phase: &PhaseProfile) -> (Vec<CandidatePerf>, Vec<JointPerf>) {
+    let mut candidates = Vec::new();
+    let mut joint = Vec::new();
+    for &config in &Configuration::ALL {
+        for (step, exec) in machine.simulate_config_ladder(phase, config).iter().enumerate() {
+            if step == 0 {
+                candidates.push(CandidatePerf { config, avg_power_w: Some(exec.avg_power_w) });
+            }
+            joint.push(JointPerf {
+                config,
+                step: FreqStep::new(step as u8),
+                avg_power_w: Some(exec.avg_power_w),
+                stall_fraction: Some(exec.stall_fraction()),
+            });
+        }
+    }
+    (candidates, joint)
+}
+
+/// Decides `phase` on two planes over every probe cap, with and without the
+/// ladder, and asserts they agree; returns the number of cases compared.
+fn assert_planes_agree<A: PowerPerfController, B: PowerPerfController>(
+    live: &mut ControlPlane<A>,
+    table: &mut ControlPlane<B>,
+    phase: PhaseId,
+    (candidates, joint): &(Vec<CandidatePerf>, Vec<JointPerf>),
+    ladder: &FreqLadder,
+    at: &str,
+) -> usize {
+    let mut cases = 0;
+    for with_ladder in [false, true] {
+        let dvfs = with_ladder.then_some(DvfsSpace { ladder, joint });
+        for cap in probe_caps(joint) {
+            let want = table.decide(phase, candidates, dvfs, cap).unwrap();
+            let got = live.decide(phase, candidates, dvfs, cap).unwrap();
+            assert_eq!(got, want, "{at}, ladder {with_ladder}, cap {cap:?}");
+            cases += 1;
+        }
+    }
+    cases
+}
+
+/// Runs `predictor` through a `PredictorController` and through decision
+/// tables built from its predictions on every phase of `bench`, asserting
+/// equal decisions; returns the number of cases compared. Each phase is
+/// then re-observed with the next phase's features and IPC but its own
+/// stall split: the menu and the stall are unchanged, only the prediction
+/// moved.
+fn assert_predictor_decides_like_a_table<P: IpcPredictor + Clone>(
+    machine: &Machine,
+    bench: &BenchmarkProfile,
+    samples: &[PhaseSample],
+    predictor: &P,
+    name: &str,
+) -> usize {
+    let shape = shape_of(machine);
+    let ladder = machine.freq_ladder();
+    let table_for = |sample: &PhaseSample, phase: PhaseId| {
+        let predictions = predictor.predict(&sample.features).unwrap();
+        let mut table =
+            DecisionTableController::new([(phase, select_configuration(sample.ipc, &predictions))]);
+        table.observe(phase, sample);
+        ControlPlane::new(table, shape)
+    };
+    let mut cases = 0;
+    for (idx, phase) in bench.phases.iter().enumerate() {
+        let pid = PhaseId::new(idx as u32);
+        let menus = phase_menus(machine, phase);
+        let at = format!("{name} on {} phase {}", bench.id, phase.name);
+        let mut live =
+            ControlPlane::new(PredictorController::new(predictor.clone(), "live"), shape);
+        live.observe(pid, &samples[idx]);
+        let mut table = table_for(&samples[idx], pid);
+        cases += assert_planes_agree(&mut live, &mut table, pid, &menus, ladder, &at);
+
+        let other = &samples[(idx + 1) % samples.len()];
+        let resampled = PhaseSample::sampling(other.features.clone(), other.ipc, other.time_s)
+            .with_stall_fraction(samples[idx].stall_fraction);
+        live.observe(pid, &resampled);
+        let mut table = table_for(&resampled, pid);
+        let at = format!("{at}, re-observed");
+        cases += assert_planes_agree(&mut live, &mut table, pid, &menus, ladder, &at);
+    }
+    cases
+}
+
+/// The live predictor controller decides exactly like a decision table
+/// built from `select_configuration` over the same sampling window: for
+/// the ANN and the regression model, on every phase of MG, SP, FT and LU,
+/// uncapped and at caps on, just below and between every joint-cell power,
+/// with and without the frequency ladder. A phase re-observed with other
+/// features but the same stall split must decide from the new prediction,
+/// not from tables built for the old one.
+#[test]
+fn predictor_controller_decides_like_its_decision_table() {
+    let machine = Machine::xeon_qx6600();
+    let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let training = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Bt].map(benchmark).to_vec();
+    let mut cases = 0;
+    for id in [BenchmarkId::Mg, BenchmarkId::Sp, BenchmarkId::Ft, BenchmarkId::Lu] {
+        let bench = benchmark(id);
+        let plan = SamplingPlan::for_benchmark(&bench, &config).unwrap();
+        let corpus = TrainingCorpus::build(
+            &machine,
+            &training,
+            &plan.event_set,
+            config.corpus_replicas,
+            config.corpus_noise,
+            &mut rng,
+        )
+        .unwrap();
+        let ann = AnnPredictor::train(&corpus, &config.predictor, &mut rng).unwrap();
+        let regression = LinearRegressionPredictor::train(&corpus, 1e-3).unwrap();
+        let samples: Vec<PhaseSample> = bench
+            .phases
+            .iter()
+            .map(|phase| {
+                let rates =
+                    sample_phase(&machine, phase, &plan, config.measurement_noise, &mut rng)
+                        .unwrap();
+                let exec = machine.simulate_config(phase, Configuration::SAMPLE);
+                PhaseSample::sampling(rates.features(), rates.ipc(), exec.time_s)
+                    .with_stall_fraction(exec.stall_fraction())
+            })
+            .collect();
+        cases += assert_predictor_decides_like_a_table(&machine, &bench, &samples, &ann, "ann");
+        cases += assert_predictor_decides_like_a_table(
+            &machine,
+            &bench,
+            &samples,
+            &regression,
+            "regression",
+        );
+    }
+    assert!(cases > 5_000, "only {cases} cases compared");
 }
 
 #[test]
 fn live_controller_loop_drives_a_real_kernel_through_the_facade() {
-    let benchmarks = IDS.map(actor_suite::workloads::benchmark);
+    let benchmarks = IDS.map(benchmark);
     let mut exp = ExperimentBuilder::new()
         .suite(benchmarks.to_vec())
         .config(ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() })

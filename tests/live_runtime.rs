@@ -2,15 +2,12 @@
 //! runtime, throttled by the ACTOR runtime, with numerics unchanged by
 //! throttling decisions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use actor_suite::actor::controller::EmpiricalSearchController;
-use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
+use actor_suite::actor::controller::JointSearchController;
+use actor_suite::actor::runtime::ActorRuntime;
 use actor_suite::rt::{Binding, PhaseId, Team};
-use actor_suite::workloads::kernels::{
-    BatchFft, ConjugateGradient, IntegerSort, LineSweepStencil, Multigrid,
-};
+use actor_suite::workloads::kernels::{BatchFft, ConjugateGradient, IntegerSort, LineSweepStencil};
 
 #[test]
 fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
@@ -21,11 +18,9 @@ fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
     // Reference solution without any listener.
     let reference = solver.run(&team, &Binding::packed(4, &shape));
 
-    // Adaptive run with the empirical search driving the live loop.
-    let runtime = Arc::new(ActorRuntime::controller_driven(
-        Box::new(EmpiricalSearchController::default()),
-        &shape,
-    ));
+    // Adaptive run with the joint search (no ladder: the empirical search)
+    // driving the live loop.
+    let runtime = Arc::new(ActorRuntime::new(Box::new(JointSearchController::default()), &shape));
     team.set_listener(runtime.clone());
     let adaptive = solver.run(&team, &Binding::packed(4, &shape));
     team.clear_listener();
@@ -49,31 +44,6 @@ fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
     for (_, binding) in &decisions {
         assert!(binding.num_threads() >= 1 && binding.num_threads() <= 4);
     }
-}
-
-#[test]
-fn fixed_plan_throttles_only_the_planned_phases() {
-    let team = Team::new(4).unwrap();
-    let shape = *team.shape();
-
-    // Force the multigrid smoothing phase onto one thread, leave the rest.
-    let mut plan = HashMap::new();
-    plan.insert(actor_suite::workloads::kernels::mg::phases::SMOOTH, Binding::packed(1, &shape));
-    let runtime = Arc::new(ActorRuntime::new(ThrottleMode::Fixed { plan }));
-    team.set_listener(runtime);
-
-    let mg = Multigrid::new(16);
-    let norms = mg.run(&team, &Binding::packed(4, &shape), 2);
-    team.clear_listener();
-    assert!(norms.iter().all(|n| n.is_finite()));
-
-    // The smoothing phase must have run single-threaded, the residual phase
-    // with the requested four threads.
-    let stats = team.stats();
-    let smooth = stats.phase(actor_suite::workloads::kernels::mg::phases::SMOOTH).unwrap();
-    let resid = stats.phase(actor_suite::workloads::kernels::mg::phases::RESID).unwrap();
-    assert_eq!(smooth.last_threads, 1, "planned phase must be throttled to one thread");
-    assert_eq!(resid.last_threads, 4, "unplanned phase keeps the requested binding");
 }
 
 #[test]
